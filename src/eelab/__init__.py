@@ -40,7 +40,6 @@ from .grids import (
     JumpSpec,
     Mollifier,
     ScalarField,
-    StreamSpec,
     VecField,
     VortexSpec,
     build_field,

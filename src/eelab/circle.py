@@ -16,9 +16,6 @@ from numpy.typing import NDArray
 
 ComplexArray = NDArray[np.complex128]
 
-#: coefficient magnitudes below this are trimmed when normalizing the band
-TRIM_TOL = 0.0  # exact trimming only (zero coefficients)
-
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     """Drop zero outer coefficients, keeping the array length odd (2K+1)."""
@@ -206,9 +203,6 @@ class CircleFunction:
     def sup_norm(self, samples: int = 2048) -> float:
         t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
         return float(np.max(np.abs(self(t))))
-
-    def coeff_l1(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
 
     # ---------------- serialization ----------------
 

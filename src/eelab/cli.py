@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from . import __version__
 from .bumps import RadialBump, TensorBump
 from .circle import CircleFunction
 from .entropy import (
+    a_coefficients,
     ent_residual,
     generated_entropy,
     generated_entropy_closed_form,
@@ -49,14 +50,11 @@ from .factorization import (
 )
 from .grids import (
     AngleField,
-    ConstantSpec,
     FieldSpec,
     Grid2,
     JumpSpec,
     Mollifier,
     ScalarField,
-    StreamSpec,
-    VortexSpec,
     build_field,
     centered_grid,
     lp_norm,
@@ -85,6 +83,7 @@ from .production import (
 from .regularity import (
     besov_seminorm,
     coercivity_profile,
+    coercivity_scan,
     interaction_identity_check,
     make_interaction_weight,
     symmetric_interaction_closed_form,
@@ -148,7 +147,7 @@ class ExperimentConfig:
 
     def to_json(self) -> dict:
         return {
-            "field": _spec_to_json(self.field),
+            "field": asdict(self.field),
             "grid": {"n": self.n, "extent": self.extent},
             "levels": self.levels,
             "eps_cells": self.eps_cells,
@@ -160,29 +159,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
-
-
-def _spec_to_json(spec: FieldSpec) -> dict:
-    if isinstance(spec, ConstantSpec):
-        return {"kind": "constant", "theta0": spec.theta0}
-    if isinstance(spec, VortexSpec):
-        return {"kind": "vortex", "center": list(spec.center), "orientation": spec.orientation}
-    if isinstance(spec, JumpSpec):
-        return {
-            "kind": "jump",
-            "normal": list(spec.normal),
-            "theta_plus": spec.theta_plus,
-            "theta_minus": spec.theta_minus,
-            "point": list(spec.point),
-        }
-    if isinstance(spec, StreamSpec):
-        return {
-            "kind": "stream",
-            "stream": spec.stream,
-            "center": list(spec.center),
-            "orientation": spec.orientation,
-        }
-    raise TypeError(spec)
 
 
 class ConfigError(ValueError):
@@ -285,7 +261,7 @@ def _region_of(cfg: ExperimentConfig):
     kind = _field_kind(cfg)
 
     def fn(grid: Grid2):
-        if kind in ("vortex", "stream"):
+        if kind == "vortex":
             r = np.hypot(*grid.meshgrid())
             return (r > 0.45 * cfg.extent / 2) & (r < 0.7 * cfg.extent / 2)
         half = 0.3 * cfg.extent
@@ -326,7 +302,7 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
         worst = float(np.max(np.abs(d.values[d.effective_mask()])))
         details["sup_production"] = worst
         ok = worst <= cfg.tol("trivial_production", 1e-12)
-    elif kind in ("vortex", "stream"):
+    elif kind == "vortex":
         rep = production_ladder(m, jin_kohn(1), [eps * 4, eps * 2, eps], cfg.p,
                                 region_of(m.grid), label="jin-kohn-1")
         details["ladder"] = rep.to_json()
@@ -354,7 +330,7 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
         grid = m.grid
         half = 0.3 * cfg.extent
         strip = grid.rect_mask(-half, half, spec.point[1] - half, spec.point[1] + half)
-        repm = jump_production_mass(m, jin_kohn(1), [eps * 2, eps], half, expected, strip)
+        repm = jump_production_mass(m, jin_kohn(1), [eps * 2, eps], expected, strip)
         details["jump_mass"] = {"expected": expected, "masses": list(repm.masses),
                                 "rel_errors": list(repm.rel_errors)}
         rows += [["jump-mass", e, v] for e, v in zip(repm.eps_ladder, repm.masses)]
@@ -435,7 +411,7 @@ def check_kinetic(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
     for li, (m, eps) in enumerate(ladder):
         grid = m.grid
         box = 0.25 * cfg.extent
-        if kind in ("vortex", "stream"):
+        if kind == "vortex":
             zetas = [
                 SpaceTimeTestFunction(
                     RadialBump(center=cfg.field.center, r0=0.3125 * cfg.extent,
@@ -512,7 +488,6 @@ def check_interaction(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckR
 
     kind = _field_kind(cfg)
     m, eps = _fields_ladder(cfg)[-1]
-    from .regularity import coercivity_scan
 
     margin = 0.1 * cfg.extent
     pts = []
@@ -527,7 +502,7 @@ def check_interaction(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckR
     details["scan_used"] = scan.n_used
     ok = ok and (scan.n_used == 0 or scan.passed)
 
-    if kind in ("vortex", "stream"):
+    if kind == "vortex":
         gamma = RadialBump(center=cfg.field.center, r0=0.27 * cfg.extent, width=0.115 * cfg.extent)
         h = 0.1 * cfg.extent
         rels = []
@@ -591,8 +566,6 @@ def check_entropy_identities(cfg: ExperimentConfig, rng: np.random.Generator) ->
         pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
         gap = he.value(pts) - em.values(t) - lin * pts
         worst_harm = max(worst_harm, float(np.max(np.abs(gap))))
-        from .entropy import a_coefficients
-
         a1 = np.real(a_coefficients(xi, np.exp(1j * t))[0])
         tgt = factor_coefficient(f, t)
         worst_action = max(worst_action, float(np.max(np.abs(a1 - tgt))))

@@ -215,10 +215,6 @@ class DiskHarmonic:
     neg: NDArray[np.complex128]
 
     @staticmethod
-    def zero() -> "DiskHarmonic":
-        return DiskHarmonic(np.zeros(1, dtype=np.complex128), np.zeros(0, dtype=np.complex128))
-
-    @staticmethod
     def from_real_basis(alpha: np.ndarray, beta: np.ndarray) -> "DiskHarmonic":
         """phi = sum_k alpha_k r^k cos(k theta) + beta_k r^k sin(k theta)."""
         alpha = np.asarray(alpha, dtype=float)
@@ -305,15 +301,6 @@ class DiskHarmonic:
 
     def real_value(self, z: np.ndarray) -> np.ndarray:
         return np.real(self.value(z))
-
-    def boundary_trace(self) -> CircleFunction:
-        """Restriction to the unit circle as a circle function."""
-        modes: dict[int, complex] = {}
-        for k in range(self.pos.size):
-            modes[k] = modes.get(k, 0.0) + complex(self.pos[k])
-        for k in range(1, self.neg.size + 1):
-            modes[-k] = modes.get(-k, 0.0) + complex(self.neg[k - 1])
-        return CircleFunction.from_modes(modes)
 
 
 def harmonic_extension(psi: CircleFunction) -> DiskHarmonic:

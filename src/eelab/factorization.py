@@ -37,7 +37,7 @@ from .grids import (
     lp_norm,
     mollify,
 )
-from .kinetic import KineticMeasure, factorized_measure, theta_of_vec
+from .kinetic import KineticMeasure, factorized_measure, pair_measure, theta_of_vec
 from .production import div_entropy, div_sigma_closed
 
 FloatArray = NDArray[np.float64]
@@ -254,8 +254,6 @@ def pairing_consistency_gap(
     The same coefficient drives the pointwise factorization and the measure
     disintegration; this gap certifies the equivalence of the two forms.
     """
-    from .kinetic import pair_measure
-
     lhs = pair_measure(sigma, f, zeta)
     coeff = factor_coefficient(f, sigma.theta)
     where = combine_masks(sigma.mask, zeta.mask)

@@ -2,9 +2,11 @@
 
 Fields live on cell centers x_ij = origin + ((i+1/2) h, (j+1/2) h) of a
 rectangular grid; arrays are indexed [row, col] = [y, x].  Divergence-free
-unit test fields (constant, vortex, half-plane jump, unit-gradient stream
-specs) are sampled from their exact analytic formulas, and every derived
-field carries the interior mask on which downstream operators may evaluate.
+unit test fields (constant, vortex, half-plane jump) are sampled from their
+exact analytic formulas, and every derived field carries the interior mask on
+which downstream operators may evaluate.  This module owns the lattice
+difference conventions: a shift D^z is taken where both x and x + z lie in
+the grid and is zero elsewhere, and central stencils lose a one-cell rim.
 """
 
 from __future__ import annotations
@@ -225,22 +227,7 @@ class JumpSpec:
         return mp, mm
 
 
-@dataclass(frozen=True)
-class StreamSpec:
-    """Field m = grad^perp(psi) for an exact unit-gradient stream function.
-
-    Only distance-type stream functions keep |grad psi| = 1, which the angle
-    representation requires; ``dist_point`` gives the vortex fan around
-    ``center`` (orientation -1 reverses it).
-    """
-
-    stream: str = "dist_point"
-    center: tuple[float, float] = (0.0, 0.0)
-    orientation: int = 1
-    kind: str = "stream"
-
-
-FieldSpec = ConstantSpec | VortexSpec | JumpSpec | StreamSpec
+FieldSpec = ConstantSpec | VortexSpec | JumpSpec
 
 
 def _vortex_theta(cx: float, cy: float, orientation: int):
@@ -278,15 +265,6 @@ def build_field(spec: FieldSpec, grid: Grid2) -> AngleField:
             return np.where(s >= 0.0, spec.theta_plus, spec.theta_minus)
 
         return AngleField(grid, fn(x, y), theta_fn=fn)
-    if isinstance(spec, StreamSpec):
-        if spec.stream != "dist_point":
-            raise ValueError(f"unknown stream function {spec.stream!r}")
-        cx, cy = spec.center
-        d = np.hypot(x - cx, y - cy)
-        if float(d.min()) < 0.1 * grid.spacing:
-            raise ValueError("stream center too close to a cell center; offset it")
-        fn = _vortex_theta(cx, cy, spec.orientation)
-        return AngleField(grid, fn(x, y), theta_fn=fn)
     raise TypeError(f"unknown field spec {spec!r}")
 
 
@@ -305,12 +283,6 @@ def spec_from_json(obj: dict) -> FieldSpec:
             theta_plus=float(obj.get("theta_plus", np.pi / 4)),
             theta_minus=float(obj.get("theta_minus", 3 * np.pi / 4)),
             point=tuple(obj.get("point", (0.0, 0.0))),
-        )
-    if kind == "stream":
-        return StreamSpec(
-            stream=str(obj.get("stream", "dist_point")),
-            center=tuple(obj.get("center", (0.0, 0.0))),
-            orientation=int(obj.get("orientation", 1)),
         )
     raise ValueError(f"unknown field kind {kind!r}")
 
@@ -342,12 +314,6 @@ class Mollifier:
     def _normalization(self) -> float:
         mass, _ = quad(lambda r: _bump_profile(np.array(r)) * r, 0.0, 1.0, limit=200)
         return 1.0 / (TWO_PI * mass)
-
-    def kernel(self, z: FloatArray) -> FloatArray:
-        """rho_eps(z) = eps^{-2} rho(z/eps), normalized to unit mass."""
-        z = np.asarray(z, dtype=float)
-        r = np.hypot(z[..., 0], z[..., 1]) / self.eps
-        return self._normalization() * _bump_profile(r) / self.eps**2
 
     def quadrature_mass(self, n: int = 2000) -> float:
         """Recompute the total integral of the scaled kernel by quadrature."""
@@ -394,18 +360,17 @@ def _lattice_offset(grid: Grid2, z: tuple[float, float]) -> tuple[int, int]:
     return ox, oy
 
 
-def _shift_diff_array(values: FloatArray, ox: int, oy: int) -> FloatArray:
-    """D^z on an array with the zero-outside-domain convention."""
-    out = np.zeros_like(values)
-    ny, nx = values.shape[0], values.shape[1]
-    if abs(ox) >= nx or abs(oy) >= ny:
-        return out
-    sy = slice(max(0, -oy), min(ny, ny - oy))
-    sx = slice(max(0, -ox), min(nx, nx - ox))
-    ty = slice(max(0, oy), min(ny, ny + oy))
-    tx = slice(max(0, ox), min(nx, nx + ox))
-    out[sy, sx] = values[ty, tx] - values[sy, sx]
-    return out
+def _overlap(grid: Grid2, ox: int, oy: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """Index pairs (at, to) of the cells x and x + (ox, oy) where both lie in the grid.
+
+    ``values[to] - values[at]`` is D^z on that overlap; it is empty when
+    |ox| >= nx or |oy| >= ny.
+    """
+    ky, kx = max(0, grid.ny - abs(oy)), max(0, grid.nx - abs(ox))
+    y0, x0 = max(0, -oy), max(0, -ox)
+    at = (slice(y0, y0 + ky), slice(x0, x0 + kx))
+    to = (slice(y0 + oy, y0 + oy + ky), slice(x0 + ox, x0 + ox + kx))
+    return at, to
 
 
 def shift_diff(fld: AngleField | VecField | ScalarField, z: tuple[float, float]):
@@ -416,14 +381,10 @@ def shift_diff(fld: AngleField | VecField | ScalarField, z: tuple[float, float])
     """
     if isinstance(fld, AngleField):
         fld = fld.unit_vectors()
-    ox, oy = _lattice_offset(fld.grid, z)
-    vals = fld.values
-    if isinstance(fld, VecField):
-        out = np.stack(
-            [_shift_diff_array(vals[..., c], ox, oy) for c in range(2)], axis=-1
-        )
-        return VecField(fld.grid, out, mask=fld.mask)
-    return ScalarField(fld.grid, _shift_diff_array(vals, ox, oy), mask=fld.mask)
+    at, to = _overlap(fld.grid, *_lattice_offset(fld.grid, z))
+    out = np.zeros_like(fld.values)
+    out[at] = fld.values[to] - fld.values[at]
+    return type(fld)(fld.grid, out, mask=fld.mask)
 
 
 def central_partials(values: FloatArray, spacing: float) -> tuple[FloatArray, FloatArray]:
@@ -435,30 +396,25 @@ def central_partials(values: FloatArray, spacing: float) -> tuple[FloatArray, Fl
     return dx, dy
 
 
-def shrink_mask(mask: BoolArray | None, cells: int = 1) -> BoolArray | None:
-    """Erode a mask so central stencils stay inside it."""
-    if mask is None:
-        return None
-    out = mask.copy()
-    for _ in range(cells):
-        inner = np.zeros_like(out)
-        inner[1:-1, 1:-1] = (
-            out[1:-1, 1:-1]
-            & out[:-2, 1:-1]
-            & out[2:, 1:-1]
-            & out[1:-1, :-2]
-            & out[1:-1, 2:]
-        )
-        out = inner
-    return out
+def stencil_mask(grid: Grid2, mask: BoolArray | None) -> BoolArray:
+    """Cells whose five-point central stencil lies in the grid and in ``mask``, if given."""
+    inside = np.ones((grid.ny, grid.nx), dtype=bool) if mask is None else mask
+    rim = np.zeros((grid.ny, grid.nx), dtype=bool)
+    rim[1:-1, 1:-1] = (
+        inside[1:-1, 1:-1]
+        & inside[:-2, 1:-1]
+        & inside[2:, 1:-1]
+        & inside[1:-1, :-2]
+        & inside[1:-1, 2:]
+    )
+    return rim
 
 
 def divergence(v: VecField) -> ScalarField:
+    """Central-difference divergence on the stencil mask of ``v``."""
     dx, _ = central_partials(v.values[..., 0], v.grid.spacing)
     _, dy = central_partials(v.values[..., 1], v.grid.spacing)
-    rim = np.zeros((v.grid.ny, v.grid.nx), dtype=bool)
-    rim[1:-1, 1:-1] = True
-    return ScalarField(v.grid, dx + dy, mask=combine_masks(shrink_mask(v.mask), rim))
+    return ScalarField(v.grid, dx + dy, mask=stencil_mask(v.grid, v.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -485,29 +441,45 @@ _VERSION = 1
 
 
 def write_field(fh: IO[bytes], grid: Grid2, *payloads: FloatArray) -> None:
-    """Binary dump: magic, version, nx, ny, spacing, origin, row-major float64 payload."""
+    """Binary dump: magic, version, nx, ny, spacing, origin, then one or more
+    row-major float64 payloads, each one (ny, nx) component."""
+    if not payloads:
+        raise ValueError("a field dump needs at least one payload")
+    for i, p in enumerate(payloads):
+        if np.shape(p) != (grid.ny, grid.nx):
+            raise ValueError(
+                f"payload {i} has shape {np.shape(p)}, expected (ny, nx) = {(grid.ny, grid.nx)}"
+            )
     fh.write(_MAGIC)
     fh.write(struct.pack("<Q", _VERSION))
     fh.write(struct.pack("<QQ", grid.nx, grid.ny))
     fh.write(struct.pack("<ddd", grid.spacing, grid.origin[0], grid.origin[1]))
     for p in payloads:
-        if p.shape[:2] != (grid.ny, grid.nx):
-            raise ValueError("payload shape does not match the grid")
         fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+
+
+def _read_header(fh: IO[bytes], fmt: str) -> tuple:
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"truncated header: expected {size} more bytes, got {len(raw)}")
+    return struct.unpack(fmt, raw)
 
 
 def read_field(fh: IO[bytes]) -> tuple[Grid2, list[FloatArray]]:
     magic = fh.read(4)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    (version,) = struct.unpack("<Q", fh.read(8))
+    (version,) = _read_header(fh, "<Q")
     if version != _VERSION:
         raise ValueError(f"unsupported dump version {version}")
-    nx, ny = struct.unpack("<QQ", fh.read(16))
-    spacing, ox, oy = struct.unpack("<ddd", fh.read(24))
+    nx, ny = _read_header(fh, "<QQ")
+    spacing, ox, oy = _read_header(fh, "<ddd")
     grid = Grid2(int(nx), int(ny), spacing, (ox, oy))
     raw = fh.read()
     per = nx * ny * 8
+    if not raw:
+        raise ValueError("field dump has a header but no payload")
     if len(raw) % per != 0:
         raise ValueError("truncated payload")
     payloads = [

@@ -175,15 +175,6 @@ class KineticMeasure:
         )
         return (atoms - lebesgue_mean) * self.g
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "kinetic-measure",
-            "nx": self.grid.nx,
-            "ny": self.grid.ny,
-            "theta": [float(t) for t in self.theta.ravel()],
-            "g": [float(t) for t in self.g.ravel()],
-        }
-
 
 def factorized_measure(theta: ScalarField, div_sigma: tuple[ScalarField, ScalarField]) -> KineticMeasure:
     """Measure with density g = e^{i 2 theta} . (divS1, divS2) per cell."""

@@ -20,6 +20,7 @@ from .entropy import (
     EntropyMap,
     ExtendedEntropy,
     b_coefficients,
+    ent_residual,
     harmonic_entropy,
     q_coefficients,
 )
@@ -29,13 +30,15 @@ from .grids import (
     Mollifier,
     ScalarField,
     VecField,
+    _overlap,
     central_partials,
     combine_masks,
     divergence,
     lp_norm,
     mollify,
-    shrink_mask,
+    stencil_mask,
 )
+from .regularity import besov_seminorm
 
 FloatArray = NDArray[np.float64]
 
@@ -47,14 +50,7 @@ def div_entropy(v: VecField, ext: ExtendedEntropy) -> ScalarField:
     of the extension (the closed disk for harmonic extensions).
     """
     ext.check_domain(v.values)
-    composite = ext.value(v.values)
-    dx, _ = central_partials(composite[..., 0], v.grid.spacing)
-    _, dy = central_partials(composite[..., 1], v.grid.spacing)
-    rim = np.zeros((v.grid.ny, v.grid.nx), dtype=bool)
-    rim[1:-1, 1:-1] = True
-    return ScalarField(
-        v.grid, dx + dy, mask=combine_masks(shrink_mask(v.mask), rim)
-    )
+    return divergence(VecField(v.grid, ext.value(v.values), mask=v.mask))
 
 
 def div_sigma_closed(v: VecField) -> tuple[ScalarField, ScalarField]:
@@ -68,9 +64,7 @@ def div_sigma_closed(v: VecField) -> tuple[ScalarField, ScalarField]:
     d1v1, d2v1 = central_partials(v.values[..., 0], h)
     d1v2, d2v2 = central_partials(v.values[..., 1], h)
     fac = 1.0 - (v.values[..., 0] ** 2 + v.values[..., 1] ** 2)
-    rim = np.zeros((v.grid.ny, v.grid.nx), dtype=bool)
-    rim[1:-1, 1:-1] = True
-    mask = combine_masks(shrink_mask(v.mask), rim)
+    mask = stencil_mask(v.grid, v.mask)
     return (
         ScalarField(v.grid, (d1v2 + d2v1) * fac, mask=mask),
         ScalarField(v.grid, (d2v2 - d1v1) * fac, mask=mask),
@@ -94,12 +88,9 @@ def cubic_difference_average(m: AngleField, eps: float) -> ScalarField:
         for ox in range(-radius, radius + 1):
             if (ox == 0 and oy == 0) or (ox * h) ** 2 + (oy * h) ** 2 >= eps**2:
                 continue
-            ys = slice(max(0, -oy), min(grid.ny, grid.ny - oy))
-            xs = slice(max(0, -ox), min(grid.nx, grid.nx - ox))
-            ty = slice(max(0, oy), min(grid.ny, grid.ny + oy))
-            tx = slice(max(0, ox), min(grid.nx, grid.nx + ox))
-            d = vec[ty, tx] - vec[ys, xs]
-            acc[ys, xs] += np.hypot(d[..., 0], d[..., 1]) ** 3
+            at, to = _overlap(grid, ox, oy)
+            d = vec[to] - vec[at]
+            acc[at] += np.hypot(d[..., 0], d[..., 1]) ** 3
     mask = grid.interior_mask(eps)
     return ScalarField(grid, acc * h * h / eps**3, mask=mask)
 
@@ -188,8 +179,6 @@ def pointwise_bound_check(
     diagnostic stays below 1e-4.  The entropy must actually be one
     (membership residual is checked).
     """
-    from .entropy import ent_residual
-
     if ent_residual(phi).sup_norm() > 1e-8:
         raise ValueError("pointwise bound requires an entropy (membership residual > 1e-8)")
     c2 = phi.c2_norm()
@@ -230,7 +219,6 @@ def pointwise_bound_check(
 @dataclass(frozen=True)
 class DecompositionResidual:
     spacing: float
-    eps: float
     l2_residual: float
     l2_lhs: float
 
@@ -264,14 +252,11 @@ def harmonic_production_identity(
     b1, b2 = b_coefficients(phi, z)
     fac = 1.0 - (v.values[..., 0] ** 2 + v.values[..., 1] ** 2)
     bfield = np.stack([fac * np.real(b1), fac * np.real(b2)], axis=-1)
-    dbx, _ = central_partials(bfield[..., 0], v.grid.spacing)
-    _, dby = central_partials(bfield[..., 1], v.grid.spacing)
-    rhs = q1 * s1.values + q2 * s2.values - (dbx + dby)
+    rhs = q1 * s1.values + q2 * s2.values - divergence(VecField(v.grid, bfield)).values
     where = combine_masks(lhs.effective_mask(), s1.effective_mask(), region)
     resid = lp_norm(lhs.values - rhs, v.grid, 2, where)
     return DecompositionResidual(
         spacing=v.grid.spacing,
-        eps=0.0,
         l2_residual=resid,
         l2_lhs=lp_norm(lhs.values, v.grid, 2, where),
     )
@@ -303,17 +288,15 @@ def jump_production_mass(
     m: AngleField,
     ext: ExtendedEntropy,
     eps_ladder: list[float],
-    strip_halfwidth: float,
     expected: float,
     length_mask: BoolArray,
 ) -> JumpMassReport:
     """Mass per unit length of div Phi(m_eps) over a strip around the jump line.
 
     Converges to the flux difference of the traces across the line.
-    ``length_mask`` selects the strip cells; the strip half-width only enters
-    through it (it must contain the mollified layer).
+    ``length_mask`` selects the strip cells and must contain the mollified
+    layer.
     """
-    del strip_halfwidth
     grid = m.grid
     masses = []
     for eps in sorted(eps_ladder, reverse=True):
@@ -359,8 +342,6 @@ def cubic_average_besov_bound(
     reach below eps so the right-hand side sees the scales P_eps samples.
     A precomputed cubic average may be passed to amortize ladder scans.
     """
-    from .regularity import besov_seminorm
-
     if pm is None:
         pm = cubic_difference_average(m, eps)
     where = combine_masks(pm.effective_mask(), inner)

@@ -15,8 +15,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bumps import RadialBump, TensorBump
-from .grids import AngleField, BoolArray, Grid2
+from .grids import AngleField, BoolArray, Grid2, _overlap
 from .quadrature import (
+    gauss_jacobi01,
     gauss_legendre,
     interaction_pair_flux,
     interaction_pair_value,
@@ -100,23 +101,14 @@ class BesovReport:
 
 
 def _masked_shift_norm(
-    m: AngleField, offset: tuple[int, int], q: float, region: BoolArray
+    grid: Grid2, vec: FloatArray, offset: tuple[int, int], q: float, region: BoolArray
 ) -> float:
-    """||D^z m||_{L^q(U)} with the both-endpoints-in-U zero convention."""
-    grid = m.grid
-    ox, oy = offset
-    vec = m.unit_vectors().values
-    ny, nx = grid.ny, grid.nx
-    if abs(ox) >= nx or abs(oy) >= ny:
-        return 0.0
-    sy = slice(max(0, -oy), min(ny, ny - oy))
-    sx = slice(max(0, -ox), min(nx, nx - ox))
-    ty = slice(max(0, oy), min(ny, ny + oy))
-    tx = slice(max(0, ox), min(nx, nx + ox))
-    valid = region[sy, sx] & region[ty, tx]
+    """||D^z m||_{L^q(U)} of unit vectors ``vec`` with the both-endpoints-in-U zero convention."""
+    at, to = _overlap(grid, *offset)
+    valid = region[at] & region[to]
     if not np.any(valid):
         return 0.0
-    diff = vec[ty, tx] - vec[sy, sx]
+    diff = vec[to] - vec[at]
     mag = np.hypot(diff[..., 0], diff[..., 1])[valid]
     if np.isinf(q):
         return float(mag.max())
@@ -154,11 +146,12 @@ def besov_seminorm(
     if not np.any(region):
         raise ValueError("empty subdomain after masking")
     hs = sorted(float(h) for h in h_ladder)
+    vec = m.unit_vectors().values
     per_h = []
     for h in hs:
         sup = 0.0
         for off in direction_offsets(m.grid, h, n_directions):
-            sup = max(sup, _masked_shift_norm(m, off, q, region))
+            sup = max(sup, _masked_shift_norm(m.grid, vec, off, q, region))
         per_h.append(sup)
     cumulative = list(np.maximum.accumulate(per_h))
     seminorm = max(c / h**s for h, c in zip(hs, cumulative))
@@ -261,8 +254,6 @@ def substitution_form(beta: float, weight: InteractionWeight) -> float:
 
     Valid for beta <= pi/8 where only the power branch is sampled.
     """
-    from .quadrature import gauss_jacobi01
-
     if beta > np.pi / 8 + 1e-12:
         raise ValueError("substitution form needs beta <= pi/8")
     y, w = gauss_jacobi01(48, weight.alpha)

@@ -212,7 +212,7 @@ def test_criterion_08_jump_cost(jump_setup):
         spec.unit_normal() @ (jin_kohn(1).value(mp[None])[0] - jin_kohn(1).value(mm[None])[0])
     )
     strip = g.rect_mask(-0.6, 0.6, yrow - 0.4, yrow + 0.4)
-    rep = jump_production_mass(m, jin_kohn(1), [0.25, 0.125], 0.4, expected, strip)
+    rep = jump_production_mass(m, jin_kohn(1), [0.25, 0.125], expected, strip)
     verdict(8, rep.rel_errors[-1] <= 0.02,
             f"jump-cost mass per unit length (rel err {rep.rel_errors[-1]:.2e} <= 2e-2)")
 

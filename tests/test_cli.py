@@ -1,6 +1,10 @@
 """Config validation, subcommands, artifacts, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,3 +153,41 @@ def test_exit_status_reflects_failures(tmp_path):
     cfg.out = str(tmp_path / "out")
     _, code = run_config(cfg)
     assert code == 1
+
+
+def test_benchmark_tracer_contract(tmp_path):
+    """perfbench/tracer.py binds eelab names from outside; a traced run must still work.
+
+    It wraps ``cli._CHECK_FNS`` and ``AngleField.unit_vectors`` and reads the
+    parameters ``m``, ``eps``, ``h_ladder``, ``n_directions``, ``theta0`` and
+    ``theta1``; the vortex interaction identity is too slow here, so the
+    interaction check runs on a constant field.
+    """
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    runs = {
+        "vortex": ({"kind": "vortex"}, ["produce", "besov"], 64,
+                   {"production.cubic_difference_average": "offset_cells",
+                    "regularity.besov_seminorm": "besov_offsets"}),
+        "constant": ({"kind": "constant", "theta0": 0.3}, ["interaction"], 32,
+                     {"quadrature.interaction_pair_value": "value_pairs"}),
+    }
+    for name, (fld, checks, n, spans) in runs.items():
+        obj = dict(BASE, field=fld, checks=checks, grid={"n": n, "extent": 2.0})
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(obj))
+        proc = subprocess.run(
+            [sys.executable, str(child), "--config", str(cfg), "--out", str(tmp_path / name),
+             "--seed", "5", "--jobs", "1", "--mode", "trace"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["statuses"] == {c: "PASS" for c in checks}
+        work = {}
+        for _, span, _, _, _, _, counts in result["spans"]:
+            work.setdefault(span, []).append(counts)
+        for check in checks:
+            assert f"cli.check.{check}" in work
+        for span, key in spans.items():
+            assert work.get(span), span
+            assert all(c[key] > 0 for c in work[span]), span

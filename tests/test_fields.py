@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eelab.grids import (
     AngleField,
@@ -11,7 +12,8 @@ from eelab.grids import (
     Grid2,
     JumpSpec,
     Mollifier,
-    StreamSpec,
+    ScalarField,
+    VecField,
     VortexSpec,
     build_field,
     centered_grid,
@@ -22,6 +24,7 @@ from eelab.grids import (
     shift_diff,
     write_field,
 )
+from eelab.production import cubic_difference_average
 
 
 def test_grid_validation():
@@ -192,11 +195,52 @@ def test_shift_diff_telescoping():
     assert np.abs((lhs - rhs)[inner]).max() < 1e-14
 
 
+def _offset(n):
+    # every offset in [-(n+2), n+2], with the ones that leave the grid drawn often
+    return st.one_of(st.integers(-(n + 2), n + 2), st.sampled_from([-(n + 2), -n, n, n + 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 12), st.integers(4, 12), st.data())
+def test_shift_diff_matches_naive_loop(nx, ny, data):
+    ox, oy = data.draw(_offset(nx)), data.draw(_offset(ny))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = Grid2(nx, ny, 0.1)
+    for fld in (VecField(g, rng.normal(size=(ny, nx, 2))), ScalarField(g, rng.normal(size=(ny, nx)))):
+        want = np.zeros_like(fld.values)
+        for j in range(ny):
+            for i in range(nx):
+                if 0 <= j + oy < ny and 0 <= i + ox < nx:
+                    want[j, i] = fld.values[j + oy, i + ox] - fld.values[j, i]
+        got = shift_diff(fld, (ox * g.spacing, oy * g.spacing))
+        assert type(got) is type(fld)
+        assert np.array_equal(got.values, want)
+
+
+def test_cubic_average_matches_naive_sum():
+    g = Grid2(8, 8, 0.25)
+    m = AngleField(g, np.random.default_rng(3).uniform(0.0, 2 * np.pi, (8, 8)))
+    h = g.spacing
+    eps = 2.5 * h
+    vec = m.unit_vectors().values
+    want = np.zeros((8, 8))
+    for j in range(8):
+        for i in range(8):
+            for oy in range(-3, 4):
+                for ox in range(-3, 4):
+                    inside = 0 <= j + oy < 8 and 0 <= i + ox < 8
+                    if (ox, oy) != (0, 0) and (ox * h) ** 2 + (oy * h) ** 2 < eps**2 and inside:
+                        d = vec[j + oy, i + ox] - vec[j, i]
+                        want[j, i] += np.hypot(d[0], d[1]) ** 3
+    got = cubic_difference_average(m, eps)
+    np.testing.assert_allclose(got.values, want * h * h / eps**3, rtol=1e-14, atol=0)
+
+
 def test_stream_field_divergence_second_order():
     errs = []
     for n in (64, 128, 256):
         g = centered_grid(n, 2.0)
-        m = build_field(StreamSpec(center=(0.0, 0.0), orientation=-1), g)
+        m = build_field(VortexSpec(center=(0.0, 0.0), orientation=-1), g)
         dv = divergence(m.unit_vectors())
         r = np.hypot(*g.meshgrid())
         sel = dv.effective_mask() & (r > 0.3)
@@ -232,3 +276,43 @@ def test_field_dump_two_components():
     _, payloads = read_field(buf)
     assert len(payloads) == 2
     assert np.array_equal(payloads[1], v.values[..., 1])
+    # an interleaved (ny, nx, 2) stack is not one component
+    stacked = io.BytesIO()
+    with pytest.raises(ValueError, match=r"payload 0 has shape \(8, 8, 2\)"):
+        write_field(stacked, g, v.values)
+    assert stacked.getvalue() == b""
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(4, 9), st.integers(4, 9), st.integers(1, 3),
+    st.floats(1e-3, 10.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_field_dump_roundtrip_random(nx, ny, k, spacing, x0, y0, seed):
+    g = Grid2(nx, ny, spacing, (x0, y0))
+    rng = np.random.default_rng(seed)
+    comps = [rng.normal(size=(ny, nx)) for _ in range(k)]
+    buf = io.BytesIO()
+    write_field(buf, g, *comps)
+    buf.seek(0)
+    g2, payloads = read_field(buf)
+    assert g2 == g
+    assert len(payloads) == k
+    assert all(np.array_equal(a, b) for a, b in zip(payloads, comps))
+
+
+def test_field_dump_truncated_anywhere_is_value_error():
+    # one payload: the component count is inferred from the size, so a cut
+    # exactly between two payloads would read as a shorter valid dump
+    g = Grid2(4, 5, 0.5, (-1.0, 2.0))
+    buf = io.BytesIO()
+    write_field(buf, g, np.arange(20.0).reshape(5, 4))
+    raw = buf.getvalue()
+    for cut in range(len(raw)):
+        with pytest.raises(ValueError):
+            read_field(io.BytesIO(raw[:cut]))
+    with pytest.raises(ValueError, match="truncated header"):
+        read_field(io.BytesIO(raw[:20]))
+    with pytest.raises(ValueError, match="no payload"):
+        read_field(io.BytesIO(raw[:52]))

@@ -156,16 +156,6 @@ def test_pair_measure_hand_value():
     assert got == pytest.approx(expect, abs=1e-12)
 
 
-def test_measure_json():
-    g, sig = _measure_for(ConstantSpec(0.4), n=8) if False else (None, None)
-    gg = centered_grid(8, 1.0)
-    from eelab.kinetic import KineticMeasure
-
-    sig = KineticMeasure(grid=gg, theta=np.zeros((8, 8)), g=np.ones((8, 8)))
-    obj = sig.to_json()
-    assert obj["nx"] == 8 and len(obj["g"]) == 64
-
-
 # ---------------------------------------------------------------------------
 # weak kinetic identity
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def test_jump_mass_matches_flux_difference():
     mp, mm = spec.traces()
     expected = float(spec.unit_normal() @ (jin_kohn(1).value(mp[None])[0] - jin_kohn(1).value(mm[None])[0]))
     strip = g.rect_mask(-0.6, 0.6, yrow - 0.4, yrow + 0.4)
-    rep = jump_production_mass(m, jin_kohn(1), [0.25, 0.125], 0.4, expected, strip)
+    rep = jump_production_mass(m, jin_kohn(1), [0.25, 0.125], expected, strip)
     assert rep.rel_errors[-1] < 0.02
     # the cubic jump-cost formula gives the same number: J^3/6 for these traces
     assert expected == pytest.approx(float(np.linalg.norm(mp - mm)) ** 3 / 6.0)
