@@ -224,7 +224,11 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     for k, v in tolerances.items():
         if not (float(v) > 0):
             violations.append(f"tolerance {k} must be positive, got {v}")
-    seed = int(obj.get("seed", 20240))
+    seed = obj.get("seed", 20240)
+    try:
+        seed = _int_setting("config seed", seed, 0)
+    except ConfigError as exc:
+        violations.extend(exc.violations)
     out = str(obj.get("out", "eelab-out"))
     dump_fields = bool(obj.get("dump_fields", False))
     if violations:
@@ -673,6 +677,19 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+def _int_setting(source: str, value, minimum: int) -> int:
+    """``value`` as an integer of at least ``minimum``; ConfigError naming ``source``."""
+    try:
+        number = int(value)
+        if isinstance(value, float) and number != value:
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError([f"{source} must be an integer, got {value!r}"]) from None
+    if number < minimum:
+        raise ConfigError([f"{source} must be >= {minimum}, got {number}"])
+    return number
+
+
 def _load_config(path: str, args: argparse.Namespace) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -681,12 +698,12 @@ def _load_config(path: str, args: argparse.Namespace) -> ExperimentConfig:
     out = args.out or env.get("EEL_OUT")
     if out:
         cfg.out = out
-    jobs = args.jobs if args.jobs is not None else env.get("EEL_JOBS")
-    if jobs is not None:
-        cfg.jobs = int(jobs)
-    seed = args.seed if args.seed is not None else env.get("EEL_SEED")
-    if seed is not None:
-        cfg.seed = int(seed)
+    for name, minimum in (("jobs", 1), ("seed", 0)):
+        value, source = getattr(args, name), f"--{name}"
+        if value is None:
+            value, source = env.get(f"EEL_{name.upper()}"), f"EEL_{name.upper()}"
+        if value is not None:
+            setattr(cfg, name, _int_setting(source, value, minimum))
     check = args.check or env.get("EEL_CHECK")
     if check:
         cfg.checks = tuple(c.strip() for c in check.split(",") if c.strip())
@@ -753,7 +770,11 @@ def main(argv: list[str] | None = None) -> int:
         return code
     if args.cmd == "dump-field":
         ns = argparse.Namespace(out=None, jobs=None, seed=None, check=None)
-        cfg = _load_config(args.config, ns)
+        try:
+            cfg = _load_config(args.config, ns)
+        except ConfigError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         m = build_field(cfg.field, cfg.grid())
         buf = io.BytesIO()
         write_field(buf, cfg.grid(), m.theta)

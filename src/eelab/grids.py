@@ -411,10 +411,19 @@ def stencil_mask(grid: Grid2, mask: BoolArray | None) -> BoolArray:
 
 
 def divergence(v: VecField) -> ScalarField:
-    """Central-difference divergence on the stencil mask of ``v``."""
-    dx, _ = central_partials(v.values[..., 0], v.grid.spacing)
-    _, dy = central_partials(v.values[..., 1], v.grid.spacing)
-    return ScalarField(v.grid, dx + dy, mask=stencil_mask(v.grid, v.mask))
+    """Central-difference divergence on the stencil mask of ``v``.
+
+    Bit for bit ``dx + dy`` of :func:`central_partials`, computing only the
+    two partials it needs.
+    """
+    vx, vy = v.values[..., 0], v.values[..., 1]
+    h2 = 2 * v.grid.spacing
+    div = np.zeros_like(vx)
+    div[:, 1:-1] = (vx[:, 2:] - vx[:, :-2]) / h2
+    div[1:-1, :] += (vy[2:, :] - vy[:-2, :]) / h2
+    # dx + 0.0 on the rows where dy is zero: turns a -0.0 x-difference into +0.0
+    div[[0, -1], :] += 0.0
+    return ScalarField(v.grid, div, mask=stencil_mask(v.grid, v.mask))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,15 @@ breakpoints (quarter-pi kinks of the weight, plus the two corners of the
 overlap window), and the |u - k pi|^alpha endpoint behavior is resolved by
 grading the quadrature pieces geometrically toward the singular endpoint.
 Everything is vectorized over arrays of rectangles.
+
+Layout invariant: the bits of a rectangle's value depend on the layout group
+it is evaluated in.  A group is _CHUNK consecutive rows of a 1-d batch (any
+other shape is one group); the group's widest u-span sets the segment count S,
+and each row is summed by one ``np.sum`` over an (S, _PIECES, n) array whose
+zero-width segments hold zeros.  How the nodes are computed (in _BLOCK-row
+blocks, live segments only, branch-masked weight) does not change any bit;
+changing _CHUNK, _PIECES, _NODES, _SNAP or the segment split does, and is an
+output change to be reviewed as drift, not a speed setting.
 """
 
 from __future__ import annotations
@@ -54,7 +63,8 @@ def _segment_nodes(lo: np.ndarray, hi: np.ndarray, weight, n: int = _NODES):
     by splitting at them.  Inside the quarter cells adjacent to a multiple of
     pi the weight behaves like dist^alpha, so the piece boundaries are graded
     geometrically toward that endpoint; elsewhere they are uniform.  Output
-    arrays have shape lo.shape + (_PIECES, n).
+    arrays have shape lo.shape + (_PIECES, n); W is zero on zero-width
+    segments.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -87,9 +97,13 @@ def _segment_nodes(lo: np.ndarray, hi: np.ndarray, weight, n: int = _NODES):
     half = 0.5 * np.maximum(b - a, 0.0)
     center = 0.5 * (a + b)
     glx, glw = gauss_legendre(n)
-    U = center[..., None] + half[..., None] * glx
-    W = half[..., None] * glw * weight.value(U)
-    W = np.where(live[..., None, None], W, 0.0)
+    # every product and sum below is a single IEEE operation, so writing
+    # center + half*glx as U += center (and so on) keeps the bits
+    U = half[..., None] * glx
+    U += center[..., None]
+    W = weight.value(U)
+    W *= half[..., None] * glw
+    W[~live] = 0.0
     return U, W
 
 
@@ -125,35 +139,106 @@ def phi_weighted_integral(g, lo, hi, weight, n: int = 24, extra_breaks: list | N
 _KINDS = ("sin_diff", "sin_cos", "sin_sin")
 
 
+#: Layout group.  The rows of one group share the segment count S, set by the
+#: group's widest u-span, and S fixes the shape of every row's node sum and so
+#: its pairwise-summation tree: changing _CHUNK moves low-order bits of every
+#: rectangle (16 moved the vortex identity ``lhs`` from ...212207 to ...212126).
+#: Treat a change as an output change, not a tuning knob.
 _CHUNK = 128
+#: Rows per node block inside a group.  Any value gives the same bits; about
+#: 16 keeps the node arrays in cache.
+_BLOCK = 16
+
+
+def _live_products(kind: str, lo, hi, slo, shi, tlo, thi, weight, n: int):
+    """Summands W * (0.5 * iv) on live segments [lo, hi] of rectangles
+    [slo, shi] x [tlo, thi].
+
+    With the v-window vlo = 2 max(slo, tlo + U) - U, vhi = 2 min(shi, thi + U) - U
+    and wid = max(vhi - vlo, 0), iv is sin(U) wid for ``sin_diff``,
+    ((cos vlo - cos vhi)[wid > 0] + sin(U) wid) / 2 for ``sin_cos`` and
+    (cos(U) wid - (sin vhi - sin vlo)[wid > 0]) / 2 for ``sin_sin``.  The
+    in-place steps keep every operation and its operands (max/min argument
+    order included), so the bits are those of the formulas.  All arguments
+    are 1-d of one length L; the result has shape (L, _PIECES, n).
+    """
+    U, W = _segment_nodes(lo, hi, weight, n)
+    ex = lambda a: a[:, None, None]  # noqa: E731
+    vlo = np.add(ex(tlo), U)
+    np.maximum(ex(slo), vlo, out=vlo)
+    vlo *= 2.0
+    vlo -= U
+    vhi = np.add(ex(thi), U)
+    np.minimum(ex(shi), vhi, out=vhi)
+    vhi *= 2.0
+    vhi -= U
+    wid = np.subtract(vhi, vlo)
+    np.maximum(wid, 0.0, out=wid)
+    if kind == "sin_diff":
+        iv = np.sin(U, out=U)
+        iv *= wid
+    elif kind == "sin_cos":
+        iv = np.cos(vlo, out=vlo)
+        iv -= np.cos(vhi, out=vhi)
+        iv *= wid > 0
+        sin_u = np.sin(U, out=U)
+        sin_u *= wid
+        iv += sin_u
+        iv *= 0.5
+    else:
+        iv = np.cos(U, out=U)
+        iv *= wid
+        dsin = np.sin(vhi, out=vhi)
+        dsin -= np.sin(vlo, out=vlo)
+        dsin *= wid > 0
+        iv -= dsin
+        iv *= 0.5
+    iv *= 0.5
+    iv *= W
+    return iv
 
 
 def _arc_rectangle_chunk(kind: str, slo, shi, tlo, thi, weight, n: int):
+    """Rectangle integrals of one layout group (see _CHUNK).
+
+    Only live (nonzero-width) segments are evaluated, _BLOCK rows at a time.
+    Their summands are scattered into a zeroed (rows, S, _PIECES, n) block
+    and each row is summed over the same shape as a full evaluation, whose
+    zero-width segments contribute zeros, so every nonzero row keeps its bits.
+    """
     ulo = slo - thi
     uhi = shi - tlo
     seg_lo, seg_hi = _split_segments(ulo, uhi, [slo - tlo, shi - thi])
-    U, W = _segment_nodes(seg_lo, seg_hi, weight, n)
-
-    ex = lambda a: a[..., None, None, None]  # noqa: E731
-    vlo = 2.0 * np.maximum(ex(slo), ex(tlo) + U) - U
-    vhi = 2.0 * np.minimum(ex(shi), ex(thi) + U) - U
-    wid = np.maximum(vhi - vlo, 0.0)
-    pos = wid > 0
-    if kind == "sin_diff":
-        iv = np.sin(U) * wid
-    elif kind == "sin_cos":
-        iv = 0.5 * ((np.cos(vlo) - np.cos(vhi)) * pos + np.sin(U) * wid)
-    else:
-        iv = 0.5 * (np.cos(U) * wid - (np.sin(vhi) - np.sin(vlo)) * pos)
-    return np.sum(W * (0.5 * iv), axis=(-1, -2, -3))
+    shape = slo.shape
+    rows = slo.size
+    nseg = seg_lo.shape[-1]
+    seg_lo = seg_lo.reshape(rows, nseg)
+    seg_hi = seg_hi.reshape(rows, nseg)
+    slo, shi, tlo, thi = (a.reshape(rows) for a in (slo, shi, tlo, thi))
+    live = seg_hi - seg_lo > 0
+    out = np.empty(rows)
+    buf = np.empty((min(rows, _BLOCK), nseg, _PIECES, n))
+    for i in range(0, rows, _BLOCK):
+        sl = slice(i, i + _BLOCK)
+        mask = live[sl]
+        r = np.nonzero(mask)[0] + i
+        block = buf[: mask.shape[0]]
+        flat = block.reshape(-1, _PIECES, n)
+        flat_mask = mask.ravel()
+        flat[~flat_mask] = 0.0
+        flat[flat_mask] = _live_products(
+            kind, seg_lo[sl][mask], seg_hi[sl][mask], slo[r], shi[r], tlo[r], thi[r], weight, n
+        )
+        out[sl] = np.sum(block, axis=(-1, -2, -3))
+    return out.reshape(shape)[()]
 
 
 def arc_rectangle_integral(kind: str, slo, shi, tlo, thi, weight, n: int = _NODES):
     """iint over [slo,shi] x [tlo,thi] of w_alpha(s-t) * g, vectorized.
 
     kind selects g: ``sin_diff`` -> sin(s-t), ``sin_cos`` -> sin(s)cos(t),
-    ``sin_sin`` -> sin(s)sin(t).  Large batches are processed in chunks to
-    keep the node arrays cache-resident.
+    ``sin_sin`` -> sin(s)sin(t).  A 1-d batch is split into layout groups of
+    _CHUNK rows; any other shape is one group.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")

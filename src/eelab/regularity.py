@@ -57,12 +57,21 @@ class InteractionWeight:
 
     def value(self, t) -> FloatArray:
         t = np.asarray(t, dtype=float)
-        u = np.mod(t, np.pi)
-        sign = np.where(u <= np.pi / 2, 1.0, -1.0)
-        v = np.where(u <= np.pi / 2, u, np.pi - u)
-        power = np.power(np.where(v <= np.pi / 4, v, 1.0), self.alpha)
-        blend = (self._a + self._b * (v - np.pi / 4)) * (np.pi / 2 - v)
-        return sign * np.where(v <= np.pi / 4, power, blend)
+        u = np.mod(t, np.pi, out=np.empty(t.shape))
+        flip = u > np.pi / 2
+        v = np.subtract(np.pi, u, out=u, where=flip)
+        low = v <= np.pi / 4
+        high = ~low
+        # each branch is evaluated only where it is selected, with the same
+        # per-element operations as (a + b (v - pi/4)) (pi/2 - v) and v^alpha
+        out = np.power(v, self.alpha, out=np.empty(t.shape), where=low)
+        np.subtract(v, np.pi / 4, out=out, where=high)
+        np.multiply(out, self._b, out=out, where=high)
+        np.add(out, self._a, out=out, where=high)
+        np.subtract(np.pi / 2, v, out=v, where=high)
+        np.multiply(out, v, out=out, where=high)
+        np.negative(out, out=out, where=flip)
+        return out if out.ndim else out[()]
 
     __call__ = value
 

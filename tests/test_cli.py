@@ -1,5 +1,6 @@
 """Config validation, subcommands, artifacts, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eelab.cli import ConfigError, config_from_json, main, run_config
+from eelab.cli import ConfigError, _load_config, config_from_json, main, run_config
 from eelab.grids import read_field
 
 
@@ -141,6 +142,43 @@ def test_env_overrides(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(path)]) == 0
     bundle = json.loads((tmp_path / "env-out" / "bundle.json").read_text())
     assert bundle["config"]["seed"] == 99
+
+
+@pytest.mark.parametrize("flags, env, config_seed, fragment", [
+    ([], {"EEL_JOBS": "abc"}, None, "EEL_JOBS must be an integer, got 'abc'"),
+    ([], {"EEL_JOBS": "0"}, None, "EEL_JOBS must be >= 1, got 0"),
+    (["--jobs", "-2"], {}, None, "--jobs must be >= 1, got -2"),
+    ([], {"EEL_SEED": "x"}, None, "EEL_SEED must be an integer, got 'x'"),
+    ([], {"EEL_SEED": "-3"}, None, "EEL_SEED must be >= 0, got -3"),
+    (["--seed", "-1"], {}, None, "--seed must be >= 0, got -1"),
+    ([], {}, -1, "config seed must be >= 0, got -1"),
+    ([], {}, "x", "config seed must be an integer, got 'x'"),
+    ([], {}, 5.7, "config seed must be an integer, got 5.7"),
+])
+def test_bad_run_overrides_rejected_before_compute(
+    tmp_path, monkeypatch, capsys, flags, env, config_seed, fragment
+):
+    path = tmp_path / "cfg.json"
+    payload = dict(BASE)
+    if config_seed is not None:
+        payload["seed"] = config_seed
+    path.write_text(json.dumps(payload))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), *flags]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_override_flag_wins_over_environment(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE))
+    monkeypatch.setenv("EEL_SEED", "x")
+    monkeypatch.setenv("EEL_JOBS", "abc")
+    args = argparse.Namespace(out=None, jobs=2, seed=0, check=None)
+    cfg = _load_config(str(path), args)
+    assert (cfg.jobs, cfg.seed) == (2, 0)
 
 
 def test_exit_status_reflects_failures(tmp_path):

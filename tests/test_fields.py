@@ -16,12 +16,14 @@ from eelab.grids import (
     VecField,
     VortexSpec,
     build_field,
+    central_partials,
     centered_grid,
     divergence,
     lp_norm,
     mollify,
     read_field,
     shift_diff,
+    stencil_mask,
     write_field,
 )
 from eelab.production import cubic_difference_average
@@ -247,6 +249,23 @@ def test_stream_field_divergence_second_order():
         errs.append(lp_norm(dv.values * sel, g, 2, sel))
     order = np.polyfit(np.log([2.0 / n for n in (64, 128, 256)]), np.log(errs), 1)[0]
     assert order > 1.9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 12), st.integers(4, 12), st.integers(0, 2**32 - 1))
+def test_divergence_matches_central_partials_bitwise(nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(ny, nx, 2))
+    zeros = rng.random((ny, nx, 2)) < 0.3
+    vals[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)  # signed zeros
+    mask = rng.random((ny, nx)) < 0.8
+    g = Grid2(nx, ny, rng.uniform(0.01, 1.0))
+    v = VecField(g, vals, mask=mask)
+    dx, _ = central_partials(vals[..., 0], g.spacing)
+    _, dy = central_partials(vals[..., 1], g.spacing)
+    got = divergence(v)
+    assert got.values.tobytes() == (dx + dy).tobytes()
+    assert np.array_equal(got.mask, stencil_mask(g, mask))
 
 
 def test_field_dump_roundtrip(tmp_path):
