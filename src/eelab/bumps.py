@@ -53,9 +53,6 @@ class RadialBump:
         rs = np.maximum(r, 1e-300)
         return d * (x - self.center[0]) / rs, d * (y - self.center[1]) / rs
 
-    def support_radius(self) -> float:
-        return self.r0 + self.width
-
 
 @dataclass(frozen=True)
 class TensorBump:

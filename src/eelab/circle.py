@@ -195,9 +195,6 @@ class CircleFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "CircleFunction":
-        return self * -1.0
-
     # ---------------- norms ----------------
 
     def sup_norm(self, samples: int = 2048) -> float:

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from .entropy import (
     generated_entropy_closed_form,
     generator_harmonic_potential,
     harmonic_entropy,
-    harmonic_extension,
     jin_kohn,
     jin_kohn_circle,
     multiplier,
@@ -50,6 +49,7 @@ from .factorization import (
 )
 from .grids import (
     AngleField,
+    ConstantSpec,
     FieldSpec,
     Grid2,
     JumpSpec,
@@ -57,7 +57,6 @@ from .grids import (
     ScalarField,
     build_field,
     centered_grid,
-    lp_norm,
     mollify,
     spec_from_json,
     write_field,
@@ -90,6 +89,7 @@ from .regularity import (
     symmetric_pair_interaction,
 )
 from .reporting import atomic_write_bytes, atomic_write_text, csv_text, json_dumps, sha256_hex
+from .schema import POSITIVE, ConfigError, key, override, read_keys, render
 
 ALL_CHECKS = (
     "produce",
@@ -106,32 +106,55 @@ ALL_CHECKS = (
 # ---------------------------------------------------------------------------
 
 
+#: every tolerance a check reads, with its default; a config may set any of them
+TOLERANCES = {
+    "trivial_production": 1e-12,
+    "pointwise_bound": 10.0,
+    "decay_rate": 0.9,
+    "line_ratio_lo": 0.95,
+    "line_ratio_hi": 1.05,
+    "jump_mass_rel": 0.02,
+    "slope_tol": 0.03,
+    "smooth_slope": 0.8,
+    "kinetic_tol_coarse": 2e-2,
+    "interaction_agreement": 1e-6,
+    "interaction_identity": 5e-2,
+}
+_Tolerances = make_dataclass(
+    "_Tolerances", [(name, "float", key(v, within=POSITIVE)) for name, v in TOLERANCES.items()])
+
+
 @dataclass
 class ExperimentConfig:
-    field: FieldSpec
-    n: int = 256
-    extent: float = 2.0
-    levels: int = 3
-    eps_cells: float = 8.0
-    h_ladder_cells: tuple[float, ...] = (4, 8, 16, 32)
-    p: float = 7.0 / 6.0
-    qs: tuple[float, ...] = (3.0, 4.0)
-    s: float = 1.0 / 3.0
-    alpha: float | None = None
-    band: int = 8
-    n_random: int = 5
-    checks: tuple[str, ...] = ALL_CHECKS
-    seed: int = 20240
-    out: str = "eelab-out"
-    jobs: int = 1
-    dump_fields: bool = False
-    tolerances: dict = field(default_factory=dict)
+    """A run: every key of the config file is declared here, once (see :mod:`eelab.schema`)."""
+
+    field: FieldSpec = key(ConstantSpec(), coerce=spec_from_json)
+    n: int = key(256, "grid.n", ("lie in [4, 4096]", lambda v: 4 <= v <= 4096))
+    extent: float = key(2.0, "grid.extent", POSITIVE)
+    levels: int = key(3, within=("be >= 1", lambda v: v >= 1))
+    eps_cells: float = key(8.0, within=("be >= 2 (kernel resolution)", lambda v: v >= 2))
+    h_ladder_cells: tuple[float, ...] = key((4.0, 8.0, 16.0, 32.0), within=(
+        "be positive and strictly increasing", lambda v: v[0] > 0 and list(v) == sorted(set(v))))
+    p: float = key(7.0 / 6.0, "exponents.p", ("lie in (1, 4/3]", lambda v: 1 < v <= 4 / 3))
+    qs: tuple[float, ...] = key((3.0, 4.0), "exponents.q", ("all be >= 1", lambda v: min(v) >= 1))
+    s: float = key(1.0 / 3.0, "exponents.s", ("lie in (0, 1)", lambda v: 0 < v < 1))
+    alpha: float | None = key(None, "exponents.alpha", ("lie in (0, 1]", lambda v: 0 < v <= 1))
+    band: int = key(8, "suite.band", ("be >= 2", lambda v: v >= 2))
+    n_random: int = key(5, "suite.n_random", ("be >= 0", lambda v: v >= 0))
+    checks: tuple[str, ...] = key(ALL_CHECKS, within=(
+        f"hold no unknown checks; valid: {', '.join(ALL_CHECKS)}",
+        lambda v: set(v) <= set(ALL_CHECKS)), flag="check")
+    seed: int = key(20240, within=("be >= 0", lambda v: v >= 0), flag="seed")
+    out: str = key("eelab-out", render=False, flag="out")
+    jobs: int = key(1, None, ("be >= 1", lambda v: v >= 1), flag="jobs")
+    dump_fields: bool = key(False)
+    tolerances: dict = key({}, coerce=lambda v, path: read_keys(_Tolerances, v, path))
 
     def effective_alpha(self) -> float:
         return self.alpha if self.alpha is not None else 3.0 * self.p - 3.0
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        return self.tolerances.get(name, TOLERANCES[name])
 
     def grid(self) -> Grid2:
         return centered_grid(self.n, self.extent)
@@ -145,108 +168,25 @@ class ExperimentConfig:
             out.append((n, self.eps_cells * h))
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "field": asdict(self.field),
-            "grid": {"n": self.n, "extent": self.extent},
-            "levels": self.levels,
-            "eps_cells": self.eps_cells,
-            "h_ladder_cells": list(self.h_ladder_cells),
-            "exponents": {"p": self.p, "q": list(self.qs), "s": self.s, "alpha": self.alpha},
-            "suite": {"band": self.band, "n_random": self.n_random},
-            "checks": list(self.checks),
-            "dump_fields": self.dump_fields,
-            "seed": self.seed,
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; carries the full list of violations."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("invalid config:\n  - " + "\n  - ".join(violations))
-        self.violations = violations
+    to_json = render
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
-    violations: list[str] = []
-    fld: FieldSpec | None = None
-    try:
-        fld = spec_from_json(obj.get("field", {"kind": "constant"}))
-    except (ValueError, TypeError) as exc:
-        violations.append(str(exc))
-    grid = obj.get("grid", {})
-    n = int(grid.get("n", 256))
-    extent = float(grid.get("extent", 2.0))
-    if n < 4:
-        violations.append(f"grid.n must be >= 4, got {n}")
-    if extent <= 0:
-        violations.append(f"grid.extent must be positive, got {extent}")
-    levels = int(obj.get("levels", 3))
-    if levels < 1:
-        violations.append("levels must be >= 1")
-    if levels >= 1 and n // (2 ** (levels - 1)) < 4:
-        violations.append("coarsest refinement level drops below 4 cells")
-    eps_cells = float(obj.get("eps_cells", 8.0))
-    if eps_cells < 2.0:
-        violations.append(f"eps_cells must be >= 2 (kernel resolution), got {eps_cells}")
-    ladder = [float(x) for x in obj.get("h_ladder_cells", (4, 8, 16, 32))]
-    if sorted(set(ladder)) != ladder:
-        violations.append("h_ladder_cells must be strictly increasing")
-    exps = obj.get("exponents", {})
-    p = float(exps.get("p", 7.0 / 6.0))
-    if not (1.0 <= p <= 4.0 / 3.0 + 1e-12):
-        violations.append(f"exponent p must lie in [1, 4/3], got {p}")
-    alpha = exps.get("alpha")
-    if alpha is not None:
-        alpha = float(alpha)
-        if abs(alpha - (3 * p - 3)) > 1e-9:
-            violations.append(
-                f"alpha={alpha} inconsistent with 3p-3={3*p-3} (drop one of them)"
-            )
-        if not (0 < alpha <= 1):
-            violations.append(f"alpha must lie in (0, 1], got {alpha}")
-    qs = tuple(float(q) for q in exps.get("q", (3.0, 4.0)))
-    if any(q < 1 for q in qs):
-        violations.append("all q exponents must be >= 1")
-    s = float(exps.get("s", 1.0 / 3.0))
-    suite = obj.get("suite", {})
-    band = int(suite.get("band", 8))
-    n_random = int(suite.get("n_random", 5))
-    if band < 2:
-        violations.append("suite.band must be >= 2")
-    checks = tuple(obj.get("checks", list(ALL_CHECKS)))
-    unknown = [c for c in checks if c not in ALL_CHECKS]
-    if unknown:
-        violations.append(f"unknown checks {unknown}; valid: {list(ALL_CHECKS)}")
-    tolerances = dict(obj.get("tolerances", {}))
-    for k, v in tolerances.items():
-        if not (float(v) > 0):
-            violations.append(f"tolerance {k} must be positive, got {v}")
-    seed = obj.get("seed", 20240)
-    try:
-        seed = _int_setting("config seed", seed, 0)
-    except ConfigError as exc:
-        violations.extend(exc.violations)
-    out = str(obj.get("out", "eelab-out"))
-    dump_fields = bool(obj.get("dump_fields", False))
+    cfg = ExperimentConfig(**read_keys(ExperimentConfig, obj))
+    violations = [text for text, bad in (
+        (f"coarsest refinement level drops below 4 cells: grid.n={cfg.n}, levels={cfg.levels}",
+         cfg.n >> (cfg.levels - 1) < 4),
+        (f"alpha={cfg.alpha} inconsistent with 3p-3={3 * cfg.p - 3} (drop one of them)",
+         cfg.alpha is not None and abs(cfg.alpha - (3 * cfg.p - 3)) > 1e-9),
+    ) if bad]
     if violations:
         raise ConfigError(violations)
-    assert fld is not None
-    return ExperimentConfig(
-        field=fld, n=n, extent=extent, levels=levels, eps_cells=eps_cells,
-        h_ladder_cells=tuple(ladder), p=p, qs=qs, s=s,
-        alpha=None if alpha is None else float(alpha),
-        band=band, n_random=n_random, checks=checks, seed=seed, out=out,
-        dump_fields=dump_fields, tolerances=tolerances,
-    )
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # check harness
 # ---------------------------------------------------------------------------
-
 
 @dataclass
 class CheckResult:
@@ -256,13 +196,9 @@ class CheckResult:
     artifacts: dict[str, bytes]
 
 
-def _field_kind(cfg: ExperimentConfig) -> str:
-    return cfg.field.kind
-
-
 def _region_of(cfg: ExperimentConfig):
     """Subdomain selector for norms: annulus for vortex-like fields, box else."""
-    kind = _field_kind(cfg)
+    kind = cfg.field.kind
 
     def fn(grid: Grid2):
         if kind == "vortex":
@@ -292,7 +228,7 @@ def _entropy_suite(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tupl
 
 
 def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
-    kind = _field_kind(cfg)
+    kind = cfg.field.kind
     region_of = _region_of(cfg)
     ladder = _fields_ladder(cfg)
     details: dict = {}
@@ -305,7 +241,7 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
         d = div_entropy(v, jin_kohn(1))
         worst = float(np.max(np.abs(d.values[d.effective_mask()])))
         details["sup_production"] = worst
-        ok = worst <= cfg.tol("trivial_production", 1e-12)
+        ok = worst <= cfg.tol("trivial_production")
     elif kind == "vortex":
         rep = production_ladder(m, jin_kohn(1), [eps * 4, eps * 2, eps], cfg.p,
                                 region_of(m.grid), label="jin-kohn-1")
@@ -314,7 +250,7 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
         rows += [[f"{rep.label}", e, v] for e, v in zip(rep.eps_ladder, rep.lp_norms)]
         bound = pointwise_bound_check(
             m, jin_kohn_circle(1), jin_kohn(1), [eps * 2, eps], region_of(m.grid),
-            bound=cfg.tol("pointwise_bound", 10.0),
+            bound=cfg.tol("pointwise_bound"),
         )
         details["pointwise_sup_ratios"] = list(bound.sup_ratios)
         pm = cubic_difference_average(m, eps)
@@ -325,7 +261,7 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
         hs = [grid.spacing * c for c in cfg.h_ladder_cells]
         bnd = cubic_average_besov_bound(m, eps, cfg.p, inner, outer, hs, pm=pm)
         details["bounded_sequence_ratio"] = bnd.ratio
-        ok = bound.passed and bnd.passed and rep.decay_rate() >= cfg.tol("decay_rate", 0.9)
+        ok = bound.passed and bnd.passed and rep.decay_rate() >= cfg.tol("decay_rate")
     elif kind == "jump":
         spec: JumpSpec = cfg.field  # type: ignore[assignment]
         mp, mm = spec.traces()
@@ -352,7 +288,6 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
         jump_j = float(np.linalg.norm(mp - mm))
         ratio = jval * eps_b / (cap * jump_j**3)
         details["line_ratio"] = ratio
-        lo, hi = cfg.tol("line_ratio_lo", 0.95), cfg.tol("line_ratio_hi", 1.05)
         box = 2 * eps_b
         inner = grid.rect_mask(-box, box, spec.point[1] - box, spec.point[1] + box)
         outer = grid.rect_mask(-box - eps_b, box + eps_b, spec.point[1] - box - eps_b,
@@ -364,8 +299,8 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
             ratios.append(bnd.ratio)
         details["bounded_sequence_ratios"] = ratios
         ok = (
-            repm.rel_errors[-1] <= cfg.tol("jump_mass_rel", 0.02)
-            and lo <= ratio <= hi
+            repm.rel_errors[-1] <= cfg.tol("jump_mass_rel")
+            and cfg.tol("line_ratio_lo") <= ratio <= cfg.tol("line_ratio_hi")
             and all(r <= 1.0 for r in ratios)
         )
     art = {"production.csv": csv_text(["label", "eps", "value"], rows).encode()} if rows else {}
@@ -379,7 +314,7 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
 
 
 def check_besov(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
-    kind = _field_kind(cfg)
+    kind = cfg.field.kind
     m, eps = _fields_ladder(cfg)[-1]
     grid = m.grid
     region = _region_of(cfg)(grid) if kind != "jump" else grid.rect_mask(
@@ -391,25 +326,24 @@ def check_besov(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
     ok = True
     for q in cfg.qs:
         rep = besov_seminorm(m, cfg.s, q, hs, region)
-        details[f"q={q:g}"] = rep.to_json()
+        details[f"q={q:g}"] = asdict(rep)
         rows += [[q, h, v, c] for h, v, c in zip(rep.hs, rep.per_h, rep.cumulative)]
         if kind == "jump":
-            slope_tol = cfg.tol("slope_tol", 0.03)
-            ok = ok and abs(rep.slope - 1.0 / q) <= slope_tol
+            ok = ok and abs(rep.slope - 1.0 / q) <= cfg.tol("slope_tol")
         elif kind == "constant":
             ok = ok and rep.seminorm <= 1e-12
         else:
-            ok = ok and (rep.slope >= cfg.tol("smooth_slope", 0.8) or rep.seminorm == 0.0)
+            ok = ok and (rep.slope >= cfg.tol("smooth_slope") or rep.seminorm == 0.0)
     art = {"besov.csv": csv_text(["q", "h", "sup_norm", "cumulative"], rows).encode()}
     return CheckResult("besov", "PASS" if ok else "FAIL", details, art)
 
 
 def check_kinetic(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
-    kind = _field_kind(cfg)
+    kind = cfg.field.kind
     ladder = _fields_ladder(cfg)
     details: dict = {}
     rows = []
-    residual_scale = cfg.tol("kinetic_tol_coarse", 2e-2)
+    residual_scale = cfg.tol("kinetic_tol_coarse")
     ok = True
     worst_by_level = []
     for li, (m, eps) in enumerate(ladder):
@@ -488,9 +422,9 @@ def check_interaction(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckR
              for b, c, d, r in zip(betas, closed, direct, prof)]
     details["closed_vs_direct"] = agreement
     details["coercivity_constant"] = c_alpha
-    ok = agreement <= cfg.tol("interaction_agreement", 1e-6) and c_alpha > 0
+    ok = agreement <= cfg.tol("interaction_agreement") and c_alpha > 0
 
-    kind = _field_kind(cfg)
+    kind = cfg.field.kind
     m, eps = _fields_ladder(cfg)[-1]
 
     margin = 0.1 * cfg.extent
@@ -501,7 +435,10 @@ def check_interaction(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckR
     for _ in range(64):
         x = rng.uniform(lo, hi, 2)
         pts.append(((float(x[0]), float(x[1])), 0.05 * cfg.extent, (1.0, 0.0)))
-    scan = coercivity_scan(m, pts, weight, c_required=0.5 * c_alpha)
+    # the scan divides by |Dm|^{3+alpha} = (2 sin beta)^{3+alpha}, not beta^{3+alpha};
+    # in that normalisation the closed form is smallest at beta = pi/2 (the last beta)
+    c_dm = float(np.min(closed / (2 * np.sin(betas)) ** (3 + alpha)))
+    scan = coercivity_scan(m, pts, weight, c_required=0.5 * c_dm)
     details["scan_min_ratio"] = scan.min_ratio
     details["scan_used"] = scan.n_used
     ok = ok and (scan.n_used == 0 or scan.passed)
@@ -515,13 +452,13 @@ def check_interaction(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckR
             rep = interaction_identity_check(mm, gamma, weight, h)
             rels.append(rep.rel_residual)
         details["identity_rel_residuals"] = rels
-        ok = ok and rels[-1] <= cfg.tol("interaction_identity", 5e-2) and rels[-1] <= rels[0] + 1e-12
+        ok = ok and rels[-1] <= cfg.tol("interaction_identity") and rels[-1] <= rels[0] + 1e-12
     art = {"interaction.csv": csv_text(["beta", "closed", "direct", "coercivity"], rows).encode()}
     return CheckResult("interaction", "PASS" if ok else "FAIL", details, art)
 
 
 def check_factorize(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
-    kind = _field_kind(cfg)
+    kind = cfg.field.kind
     base_region = _region_of(cfg)
     ladder = _fields_ladder(cfg)
     eps_max = max(eps for _, eps in ladder)
@@ -534,7 +471,7 @@ def check_factorize(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckRes
     details: dict = {}
     rows = []
     rep = vanishing_production_check(ladder, fs, region_of,
-                                     rate_threshold=cfg.tol("decay_rate", 0.9))
+                                     rate_threshold=cfg.tol("decay_rate"))
     details["rates"] = list(rep.rates)
     details["negative_control"] = rep.flagged_negative_control
     for lbl, row in zip(rep.labels, rep.masses):
@@ -608,20 +545,8 @@ def check_entropy_identities(cfg: ExperimentConfig, rng: np.random.Generator) ->
     return CheckResult("entropy-identities", "PASS" if ok else "FAIL", details, {})
 
 
-_CHECK_FNS = {
-    "produce": check_produce,
-    "besov": check_besov,
-    "kinetic": check_kinetic,
-    "interaction": check_interaction,
-    "factorize": check_factorize,
-    "entropy-identities": check_entropy_identities,
-}
-
-#: checks that only make sense for particular field kinds
-_SKIP_RULES = {
-    "interaction": ("jump",),   # the vanishing-measure identity needs a rigid field
-}
-
+_CHECK_FNS = dict(zip(ALL_CHECKS, (check_produce, check_besov, check_kinetic, check_interaction,
+                                   check_factorize, check_entropy_identities)))
 
 def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Execute the configured checks and write all artifacts; returns (bundle, exit code)."""
@@ -629,9 +554,8 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
     results: dict[str, CheckResult] = {}
 
     def one(name: str) -> CheckResult:
-        skip_kinds = _SKIP_RULES.get(name, ())
-        if _field_kind(cfg) in skip_kinds:
-            return CheckResult(name, "SKIP", {"reason": f"not applicable to {_field_kind(cfg)} fields"}, {})
+        if name == "interaction" and cfg.field.kind == "jump":  # the identity needs a rigid field
+            return CheckResult(name, "SKIP", {"reason": f"not applicable to {cfg.field.kind} fields"}, {})
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ALL_CHECKS.index(name),)))
         try:
             return _CHECK_FNS[name](cfg, rng)
@@ -677,39 +601,16 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _int_setting(source: str, value, minimum: int) -> int:
-    """``value`` as an integer of at least ``minimum``; ConfigError naming ``source``."""
+def _load_config(path: str, args: argparse.Namespace | None) -> ExperimentConfig:
+    """The config at ``path`` with the ``args`` flags, else EEL_*, applied (None: none)."""
     try:
-        number = int(value)
-        if isinstance(value, float) and number != value:
-            raise ValueError(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError([f"{source} must be an integer, got {value!r}"]) from None
-    if number < minimum:
-        raise ConfigError([f"{source} must be >= {minimum}, got {number}"])
-    return number
-
-
-def _load_config(path: str, args: argparse.Namespace) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"cannot read config {path}: {exc}"]) from None
     cfg = config_from_json(obj)
-    env = os.environ
-    out = args.out or env.get("EEL_OUT")
-    if out:
-        cfg.out = out
-    for name, minimum in (("jobs", 1), ("seed", 0)):
-        value, source = getattr(args, name), f"--{name}"
-        if value is None:
-            value, source = env.get(f"EEL_{name.upper()}"), f"EEL_{name.upper()}"
-        if value is not None:
-            setattr(cfg, name, _int_setting(source, value, minimum))
-    check = args.check or env.get("EEL_CHECK")
-    if check:
-        cfg.checks = tuple(c.strip() for c in check.split(",") if c.strip())
-        unknown = [c for c in cfg.checks if c not in ALL_CHECKS]
-        if unknown:
-            raise ConfigError([f"unknown checks {unknown}; valid: {list(ALL_CHECKS)}"])
+    if args is not None:
+        override(cfg, args, os.environ)
     return cfg
 
 
@@ -732,10 +633,8 @@ def main(argv: list[str] | None = None) -> int:
 
     run_p = sub.add_parser("run", help="run the configured experiment")
     run_p.add_argument("--config", required=True)
-    run_p.add_argument("--out", default=None)
-    run_p.add_argument("--jobs", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--check", default=None, help="comma-separated subset of checks")
+    for flag in (f.metadata["flag"] for f in fields(ExperimentConfig) if f.metadata["flag"]):
+        run_p.add_argument(f"--{flag}", help=f"falls back to EEL_{flag.upper()}")
 
     val_p = sub.add_parser("validate-config", help="validate a config file")
     val_p.add_argument("--config", required=True)
@@ -748,39 +647,6 @@ def main(argv: list[str] | None = None) -> int:
     show_p.add_argument("--f", required=True, help="cos:K | sin:K | random:BAND[:SEED]")
 
     args = ap.parse_args(argv)
-    if args.cmd == "validate-config":
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config_from_json(json.load(fh))
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        print("config ok")
-        return 0
-    if args.cmd == "run":
-        try:
-            cfg = _load_config(args.config, args)
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        bundle, code = run_config(cfg)
-        for name, rec in bundle["checks"].items():
-            print(f"{rec['status']:4s}  {name}")
-        print(f"bundle: {Path(cfg.out) / 'bundle.json'}")
-        return code
-    if args.cmd == "dump-field":
-        ns = argparse.Namespace(out=None, jobs=None, seed=None, check=None)
-        try:
-            cfg = _load_config(args.config, ns)
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        m = build_field(cfg.field, cfg.grid())
-        buf = io.BytesIO()
-        write_field(buf, cfg.grid(), m.theta)
-        atomic_write_bytes(Path(args.out), buf.getvalue())
-        print(f"wrote {args.out}")
-        return 0
     if args.cmd == "show-entropy":
         f = _parse_entropy_arg(args.f)
         em = generated_entropy(f)
@@ -791,7 +657,28 @@ def main(argv: list[str] | None = None) -> int:
             "membership_residual": res,
         }), end="")
         return 0
-    return 2
+    # validate-config reads the file alone; dump-field takes only EEL_* overrides
+    overrides = {"run": args, "dump-field": argparse.Namespace()}.get(args.cmd)
+    try:
+        cfg = _load_config(args.config, overrides)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if args.cmd == "validate-config":
+        print("config ok")
+        return 0
+    if args.cmd == "run":
+        bundle, code = run_config(cfg)
+        for name, rec in bundle["checks"].items():
+            print(f"{rec['status']:4s}  {name}")
+        print(f"bundle: {Path(cfg.out) / 'bundle.json'}")
+        return code
+    m = build_field(cfg.field, cfg.grid())
+    buf = io.BytesIO()
+    write_field(buf, cfg.grid(), m.theta)
+    atomic_write_bytes(Path(args.out), buf.getvalue())
+    print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -55,15 +55,6 @@ class EntropyMap:
         t = np.asarray(t, dtype=float)
         return np.stack([self.comp1.real_values(t), self.comp2.real_values(t)], axis=-1)
 
-    def __add__(self, other: "EntropyMap") -> "EntropyMap":
-        return EntropyMap(self.comp1 + other.comp1, self.comp2 + other.comp2)
-
-    def __sub__(self, other: "EntropyMap") -> "EntropyMap":
-        return EntropyMap(self.comp1 - other.comp1, self.comp2 - other.comp2)
-
-    def scale(self, a: float) -> "EntropyMap":
-        return EntropyMap(self.comp1 * a, self.comp2 * a)
-
     def c2_norm(self, samples: int = 4096) -> float:
         """max over the circle of |Phi|, |Phi'|, |Phi''| (Euclidean norm)."""
         t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)

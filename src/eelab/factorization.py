@@ -179,17 +179,6 @@ class VanishingProductionReport:
     vanishes: bool
     flagged_negative_control: bool
 
-    def to_json(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "eps": list(self.eps_ladder),
-            "masses": [list(row) for row in self.masses],
-            "nu": list(self.nu_masses),
-            "rates": list(self.rates),
-            "vanishes": self.vanishes,
-            "negative_control": self.flagged_negative_control,
-        }
-
 
 def vanishing_production_check(
     ladder: list[tuple[AngleField, float]],

@@ -20,6 +20,8 @@ from numpy.typing import NDArray
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
+from .schema import ConfigError, key, read_keys
+
 FloatArray = NDArray[np.float64]
 BoolArray = NDArray[np.bool_]
 
@@ -79,10 +81,9 @@ class Grid2:
         return (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
 
 
-def centered_grid(n: int, extent: float, spacing: float | None = None) -> Grid2:
+def centered_grid(n: int, extent: float) -> Grid2:
     """Square grid of n x n cells covering [-extent/2, extent/2]^2."""
-    h = extent / n if spacing is None else spacing
-    return Grid2(n, n, h, (-extent / 2, -extent / 2))
+    return Grid2(n, n, extent / n, (-extent / 2, -extent / 2))
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def combine_masks(*masks: BoolArray | None) -> BoolArray | None:
 
 @dataclass(frozen=True)
 class ConstantSpec:
-    theta0: float = 0.0
+    theta0: float = key(0.0)
     kind: str = "constant"
 
 
@@ -185,8 +186,8 @@ class ConstantSpec:
 class VortexSpec:
     """m(x) = orientation * i (x - center)/|x - center|; center must avoid cell centers."""
 
-    center: tuple[float, float] = (0.0, 0.0)
-    orientation: int = 1
+    center: tuple[float, float] = key((0.0, 0.0))
+    orientation: int = key(1, within=("be 1 or -1", lambda v: v in (1, -1)))
     kind: str = "vortex"
 
 
@@ -198,10 +199,10 @@ class JumpSpec:
     normal . (e^{i theta_plus} - e^{i theta_minus}) = 0.
     """
 
-    normal: tuple[float, float] = (0.0, 1.0)
-    theta_plus: float = np.pi / 4
-    theta_minus: float = 3 * np.pi / 4
-    point: tuple[float, float] = (0.0, 0.0)
+    normal: tuple[float, float] = key((0.0, 1.0), within=("be nonzero", any))
+    theta_plus: float = key(np.pi / 4)
+    theta_minus: float = key(3 * np.pi / 4)
+    point: tuple[float, float] = key((0.0, 0.0))
     kind: str = "jump"
 
     def unit_normal(self) -> FloatArray:
@@ -268,23 +269,20 @@ def build_field(spec: FieldSpec, grid: Grid2) -> AngleField:
     raise TypeError(f"unknown field spec {spec!r}")
 
 
-def spec_from_json(obj: dict) -> FieldSpec:
+_SPECS = {cls.kind: cls for cls in (ConstantSpec, VortexSpec, JumpSpec)}
+
+
+def spec_from_json(obj: dict, where: str = "field") -> FieldSpec:
+    """The field spec ``obj`` declares at config path ``where``; ConfigError names
+    every bad key and value."""
+    if not isinstance(obj, dict):
+        raise ConfigError([f"config {where} must be an object, got {obj!r}"])
     kind = obj.get("kind")
-    if kind == "constant":
-        return ConstantSpec(theta0=float(obj.get("theta0", 0.0)))
-    if kind == "vortex":
-        return VortexSpec(
-            center=tuple(obj.get("center", (0.0, 0.0))),
-            orientation=int(obj.get("orientation", 1)),
-        )
-    if kind == "jump":
-        return JumpSpec(
-            normal=tuple(obj.get("normal", (0.0, 1.0))),
-            theta_plus=float(obj.get("theta_plus", np.pi / 4)),
-            theta_minus=float(obj.get("theta_minus", 3 * np.pi / 4)),
-            point=tuple(obj.get("point", (0.0, 0.0))),
-        )
-    raise ValueError(f"unknown field kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPECS:
+        raise ConfigError([f"config {where}.kind is an unknown field kind {kind!r}; "
+                           f"valid: {list(_SPECS)}"])
+    cls = _SPECS[kind]
+    return cls(**read_keys(cls, {k: v for k, v in obj.items() if k != "kind"}, where))
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +444,12 @@ def lp_norm(values: FloatArray, grid: Grid2, p: float, where: BoolArray) -> floa
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"EELF"
-_VERSION = 1
+_VERSION = 2
 
 
 def write_field(fh: IO[bytes], grid: Grid2, *payloads: FloatArray) -> None:
-    """Binary dump: magic, version, nx, ny, spacing, origin, then one or more
-    row-major float64 payloads, each one (ny, nx) component."""
+    """Binary dump: magic, version, nx, ny, component count, spacing, origin,
+    then that many row-major float64 payloads, each one (ny, nx) component."""
     if not payloads:
         raise ValueError("a field dump needs at least one payload")
     for i, p in enumerate(payloads):
@@ -461,7 +459,7 @@ def write_field(fh: IO[bytes], grid: Grid2, *payloads: FloatArray) -> None:
             )
     fh.write(_MAGIC)
     fh.write(struct.pack("<Q", _VERSION))
-    fh.write(struct.pack("<QQ", grid.nx, grid.ny))
+    fh.write(struct.pack("<QQQ", grid.nx, grid.ny, len(payloads)))
     fh.write(struct.pack("<ddd", grid.spacing, grid.origin[0], grid.origin[1]))
     for p in payloads:
         fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
@@ -482,17 +480,15 @@ def read_field(fh: IO[bytes]) -> tuple[Grid2, list[FloatArray]]:
     (version,) = _read_header(fh, "<Q")
     if version != _VERSION:
         raise ValueError(f"unsupported dump version {version}")
-    nx, ny = _read_header(fh, "<QQ")
-    spacing, ox, oy = _read_header(fh, "<ddd")
+    nx, ny, count, spacing, ox, oy = _read_header(fh, "<QQQddd")
     grid = Grid2(int(nx), int(ny), spacing, (ox, oy))
     raw = fh.read()
     per = nx * ny * 8
-    if not raw:
+    if not raw or count == 0:
         raise ValueError("field dump has a header but no payload")
-    if len(raw) % per != 0:
-        raise ValueError("truncated payload")
-    payloads = [
+    if len(raw) != count * per:
+        raise ValueError(f"payload holds {len(raw)} bytes, the header declares {count * per}")
+    return grid, [
         np.frombuffer(raw[i * per : (i + 1) * per], dtype="<f8").reshape(ny, nx).copy()
-        for i in range(len(raw) // per)
+        for i in range(count)
     ]
-    return grid, payloads

@@ -96,18 +96,6 @@ class BesovReport:
     slope: float                      # log-log fit of per_h against h
     directions: int
 
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "q": self.q,
-            "hs": list(self.hs),
-            "per_h": list(self.per_h),
-            "cumulative": list(self.cumulative),
-            "seminorm": self.seminorm,
-            "slope": self.slope,
-            "directions": self.directions,
-        }
-
 
 def _masked_shift_norm(
     grid: Grid2, vec: FloatArray, offset: tuple[int, int], q: float, region: BoolArray
@@ -284,6 +272,7 @@ class CoercivityReport:
     n_excluded: int
     passed: bool
     samples: tuple[InteractionSample, ...]
+    closed_form_gap: float
 
 
 def coercivity_scan(
@@ -291,27 +280,37 @@ def coercivity_scan(
     samples: list[tuple[tuple[float, float], float, tuple[float, float]]],
     weight: InteractionWeight,
     c_required: float,
-    floor: float = 1e-14,
 ) -> CoercivityReport:
-    """min over samples of Delta / |D^{he} m|^{3 + alpha}, floor-guarded."""
+    """min over samples of Delta / |D^{he} m|^{3 + alpha}, floor-guarded.
+
+    ``min_ratio`` is over every sample with |Dm| > 1e-14.  The scan passes when
+    every Delta is within 1e-10 of the symmetric-pair closed form at the
+    half-angle arcsin(|Dm|/2), and the ratio reaches ``c_required`` wherever
+    |Dm|^{3+alpha} >= 1e-12 (below, the round-off of Delta dominates it).
+    """
     used: list[InteractionSample] = []
     excluded = 0
     ratios = []
     for x, h, e in samples:
         rec = interaction_functional(m, x, h, e, weight)
-        if rec.dm <= floor:
+        if rec.dm <= 1e-14:
             excluded += 1
             continue
         used.append(rec)
         ratios.append(rec.delta / rec.dm ** (3 + weight.alpha))
     min_ratio = float(min(ratios)) if ratios else float("inf")
+    gated = [r for r, rec in zip(ratios, used) if rec.dm ** (3 + weight.alpha) >= 1e-12]
+    closed = symmetric_interaction_closed_form(
+        np.arcsin(np.minimum([rec.dm / 2 for rec in used], 1.0)), weight)
+    gap = float(np.max(np.abs([rec.delta for rec in used] - closed), initial=0.0))
     return CoercivityReport(
         alpha=weight.alpha,
         min_ratio=min_ratio,
         n_used=len(used),
         n_excluded=excluded,
-        passed=bool(min_ratio >= c_required),
+        passed=bool(min(gated, default=np.inf) >= c_required and gap <= 1e-10),
         samples=tuple(used),
+        closed_form_gap=gap,
     )
 
 

@@ -1,16 +1,25 @@
 """Config validation, subcommands, artifacts, determinism."""
 
 import argparse
+import dataclasses
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from eelab import cli
 from eelab.cli import ConfigError, _load_config, config_from_json, main, run_config
-from eelab.grids import read_field
+from eelab.grids import ConstantSpec, JumpSpec, VortexSpec, read_field
+from eelab.reporting import json_dumps
+from eelab.schema import declared
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 BASE = {
@@ -154,6 +163,7 @@ def test_env_overrides(tmp_path, monkeypatch, capsys):
     ([], {}, -1, "config seed must be >= 0, got -1"),
     ([], {}, "x", "config seed must be an integer, got 'x'"),
     ([], {}, 5.7, "config seed must be an integer, got 5.7"),
+    (["--check", "produce,nope"], {}, None, "--check must hold no unknown checks"),
 ])
 def test_bad_run_overrides_rejected_before_compute(
     tmp_path, monkeypatch, capsys, flags, env, config_seed, fragment
@@ -179,6 +189,17 @@ def test_run_override_flag_wins_over_environment(tmp_path, monkeypatch):
     args = argparse.Namespace(out=None, jobs=2, seed=0, check=None)
     cfg = _load_config(str(path), args)
     assert (cfg.jobs, cfg.seed) == (2, 0)
+
+
+def test_override_text_is_read_like_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE))
+    monkeypatch.setenv("EEL_CHECK", "besov, kinetic,")
+    monkeypatch.setenv("EEL_SEED", " 7 ")
+    monkeypatch.setenv("EEL_JOBS", "")  # empty counts as absent
+    cfg = _load_config(str(path), argparse.Namespace())
+    assert (cfg.checks, cfg.seed, cfg.jobs) == (("besov", "kinetic"), 7, 1)
+    assert _load_config(str(path), None).checks == tuple(BASE["checks"])
 
 
 def test_exit_status_reflects_failures(tmp_path):
@@ -229,3 +250,99 @@ def test_benchmark_tracer_contract(tmp_path):
         for span, key in spans.items():
             assert work.get(span), span
             assert all(c[key] > 0 for c in work[span]), span
+
+
+def _jump_config_with(path: str, value) -> dict:
+    obj = json.loads((ROOT / "configs" / "jump.json").read_text())
+    *groups, leaf = path.split(".")
+    node = obj
+    for g in groups:
+        node = node[g]
+    node[leaf] = value
+    return obj
+
+
+@pytest.mark.parametrize("path, value, fragment", [
+    ("grid.n", "abc", "config grid.n must be an integer, got 'abc'"),
+    ("levels", "x", "config levels must be an integer, got 'x'"),
+    ("grid", [1], "config grid must be an object, got [1]"),
+    ("tolerances", {"jump_mass_rel": "x"},
+     "config tolerances.jump_mass_rel must be a finite number, got 'x'"),
+    ("grid.n", 256.7, "config grid.n must be an integer, got 256.7"),
+    ("grid.n", 1e9, "config grid.n must lie in [4, 4096], got 1000000000"),
+    ("suite.band", 2.5, "config suite.band must be an integer, got 2.5"),
+    ("exponents.p", 1, "config exponents.p must lie in (1, 4/3], got 1.0"),
+    ("exponents.p", True, "config exponents.p must be a finite number, got True"),
+    ("h_ladder_cells", [0, 1],
+     "config h_ladder_cells must be positive and strictly increasing, got [0.0, 1.0]"),
+    ("exponents.q", [], "config exponents.q must be a non-empty list, got []"),
+    ("exponents.s", -5, "config exponents.s must lie in (0, 1), got -5.0"),
+    ("suite.n_random", -3, "config suite.n_random must be >= 0, got -3"),
+    ("grid.extent", float("nan"), "config grid.extent must be a finite number, got nan"),
+    ("eps_cells", float("inf"), "config eps_cells must be a finite number, got inf"),
+    ("dump_fields", "no", "config dump_fields must be true or false, got 'no'"),
+    ("colour", "blue", "config has unknown key 'colour'"),
+    ("tolerances", {"jump_mass_rell": 0.5}, "config tolerances has unknown key 'jump_mass_rell'"),
+    ("field.normal", [0, 0], "config field.normal must be nonzero, got [0, 0]"),
+    ("checks", "produce", "config checks must be a non-empty list, got 'produce'"),
+])
+def test_bad_config_rejected_before_compute(tmp_path, capsys, path, value, fragment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_jump_config_with(path, value)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of the rendered config of each shipped file, as the benchmark child
+# loads it (out and seed overridden, then jobs set); the bundle's "config"
+# block is this rendering, so it must not move
+GOLDEN_CONFIG_SHA256 = {
+    "constant": "c644b198b2d7cb55b4095d796bc08b6316fe34b118d3d5ce1137ab51179561ea",
+    "jump": "7148af4573238d1a84a131a5f28419f02fb48c899fe76902f9bae2790334dbc0",
+    "vortex": "3dab9a50809d45bc7aa256a2613f9f945bba86d186043270000100309087d920",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIG_SHA256))
+def test_shipped_config_renders_unchanged(tmp_path, name):
+    obj = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    obj["out"] = str(tmp_path / "out")
+    obj["seed"] = 20240
+    cfg = config_from_json(obj)
+    cfg.jobs = 2
+    text = json_dumps(cfg.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONFIG_SHA256[name]
+    assert config_from_json(json.loads(text)).to_json() == cfg.to_json()
+
+
+def test_readme_config_reference_lists_every_key():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Config reference"):]
+    table = set(re.findall(r"^\| `([^`]+)`", section, flags=re.M))
+    keys = {path for path in declared(cli.ExperimentConfig)}
+    keys |= {f.name for f in dataclasses.fields(cli.ExperimentConfig) if f.metadata["flag"]}
+    for spec in (ConstantSpec, VortexSpec, JumpSpec):
+        keys |= {f"field.{path}" for path in declared(spec)}
+    keys |= set(cli.TOLERANCES)
+    assert keys <= table, sorted(keys - table)
+
+
+def test_vortex_interaction_scan_passes_at_every_seed(monkeypatch):
+    # check_interaction on the shipped vortex config with its (48, 96) identity
+    # stubbed out, so that the coercivity scan decides; the scan samples the
+    # analytic field, so n=64 gives the same samples as n=256
+    monkeypatch.setattr(cli, "interaction_identity_check",
+                        lambda *args: SimpleNamespace(rel_residual=0.0))
+    obj = json.loads((ROOT / "configs" / "vortex.json").read_text())
+    obj["grid"]["n"] = 64
+    cfg = config_from_json(obj)
+    spawn = (cli.ALL_CHECKS.index("interaction"),)
+    failed = [
+        seed for seed in range(200)
+        if cli.check_interaction(
+            cfg, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn))
+        ).status != "PASS"
+    ]
+    assert failed == []

@@ -278,11 +278,12 @@ def test_field_dump_roundtrip(tmp_path):
     assert g2 == g
     assert len(payloads) == 1
     assert np.array_equal(payloads[0], m.theta)
-    # header layout: magic, three little-endian u64/f64 blocks
+    # header layout: magic, then little-endian version, nx, ny, component count
     raw = buf.getvalue()
     assert raw[:4] == b"EELF"
-    assert int.from_bytes(raw[4:12], "little") == 1
+    assert int.from_bytes(raw[4:12], "little") == 2
     assert int.from_bytes(raw[12:20], "little") == 16
+    assert int.from_bytes(raw[28:36], "little") == 1
 
 
 def test_field_dump_two_components():
@@ -322,16 +323,23 @@ def test_field_dump_roundtrip_random(nx, ny, k, spacing, x0, y0, seed):
 
 
 def test_field_dump_truncated_anywhere_is_value_error():
-    # one payload: the component count is inferred from the size, so a cut
-    # exactly between two payloads would read as a shorter valid dump
+    # two payloads: the header holds the component count, so a cut exactly
+    # between the payloads is an error too, not a shorter valid dump
     g = Grid2(4, 5, 0.5, (-1.0, 2.0))
     buf = io.BytesIO()
-    write_field(buf, g, np.arange(20.0).reshape(5, 4))
+    write_field(buf, g, np.arange(20.0).reshape(5, 4), -np.arange(20.0).reshape(5, 4))
     raw = buf.getvalue()
+    assert len(raw) == 60 + 2 * 20 * 8
     for cut in range(len(raw)):
         with pytest.raises(ValueError):
             read_field(io.BytesIO(raw[:cut]))
     with pytest.raises(ValueError, match="truncated header"):
         read_field(io.BytesIO(raw[:20]))
     with pytest.raises(ValueError, match="no payload"):
-        read_field(io.BytesIO(raw[:52]))
+        read_field(io.BytesIO(raw[:60]))
+    with pytest.raises(ValueError, match="header declares 320"):
+        read_field(io.BytesIO(raw[:60 + 160]))
+    with pytest.raises(ValueError, match="header declares 320"):
+        read_field(io.BytesIO(raw + b"\0" * 8))
+    _, payloads = read_field(io.BytesIO(raw))
+    assert len(payloads) == 2

@@ -180,6 +180,17 @@ def test_coercivity_scan_jump_and_floor():
     assert rep.min_ratio == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+def test_chord_coercivity_minimum_at_right_angle(alpha):
+    # in the |Dm| normalisation the closed form is smallest at beta = pi/2,
+    # where the beta normalisation would put a gate above the closed form itself
+    w = make_interaction_weight(alpha)
+    betas = np.linspace(0.01, np.pi / 2, 64)
+    chord = symmetric_interaction_closed_form(betas, w) / (2 * np.sin(betas)) ** (3 + alpha)
+    assert int(np.argmin(chord)) == len(betas) - 1
+    assert chord.min() < coercivity_profile(w, betas).min()
+
+
 def test_coercivity_scan_smooth_field():
     g = centered_grid(64, 2.4)
     m = build_field(VortexSpec(), g)
@@ -190,8 +201,11 @@ def test_coercivity_scan_smooth_field():
         ang = rng.uniform(0, 2 * np.pi)
         r = rng.uniform(0.6, 0.9)
         samples.append(((r * np.cos(ang), r * np.sin(ang)), 0.05, (1.0, 0.0)))
-    prof_min = coercivity_profile(w, np.linspace(0.005, np.pi / 2, 200)).min()
+    # the scan divides by |Dm|^{3+alpha}, so the gate uses the same normalisation
+    betas = np.linspace(0.005, np.pi / 2, 200)
+    prof_min = (symmetric_interaction_closed_form(betas, w) / (2 * np.sin(betas)) ** 3.25).min()
     rep = coercivity_scan(m, samples, w, c_required=0.5 * float(prof_min))
+    assert rep.closed_form_gap <= 1e-10
     assert rep.passed
 
 
