@@ -60,16 +60,17 @@ from .kinetic import (
     indicator_lattice,
     kinetic_residual,
     pair_measure,
-    theta_of,
     theta_of_vec,
 )
 from .production import (
+    Level,
     cubic_average_besov_bound,
     cubic_difference_average,
     div_entropy,
     div_sigma_closed,
     harmonic_production_identity,
     jump_production_mass,
+    mollified_level,
     pointwise_bound_check,
     production_ladder,
     refinement_order,

@@ -4,8 +4,8 @@ A JSON config declares a test field, grid/refinement parameters, ladders,
 exponents and an entropy suite; ``eelab run`` executes the requested checks,
 writes CSV/JSON artifacts and a result bundle, and exits nonzero iff any
 check fails.  Identical configs reproduce byte-identical artifacts, also
-across worker counts (results are computed by pure functions and written in
-a fixed order).
+across worker counts (results are computed by pure functions of one shared,
+read-only refinement ladder and written in a fixed order).
 
 Subcommands: run, validate-config, dump-field, show-entropy.
 Flags: --config, --out, --jobs, --seed, --check; environment overrides
@@ -48,7 +48,6 @@ from .factorization import (
     verify_factorization,
 )
 from .grids import (
-    AngleField,
     ConstantSpec,
     FieldSpec,
     Grid2,
@@ -57,7 +56,6 @@ from .grids import (
     ScalarField,
     build_field,
     centered_grid,
-    mollify,
     spec_from_json,
     write_field,
 )
@@ -68,14 +66,14 @@ from .kinetic import (
     factorized_measure,
     kinetic_residual,
     test_function_suite,
-    theta_of_vec,
 )
 from .production import (
+    Level,
     cubic_average_besov_bound,
     cubic_difference_average,
     div_entropy,
-    div_sigma_closed,
     jump_production_mass,
+    mollified_level,
     pointwise_bound_check,
     production_ladder,
 )
@@ -160,13 +158,9 @@ class ExperimentConfig:
         return centered_grid(self.n, self.extent)
 
     def refinement(self) -> list[tuple[int, float]]:
-        """(cells, mollification scale) per level, finest last, eps/spacing fixed."""
-        out = []
-        for k in range(self.levels - 1, -1, -1):
-            n = self.n // (2**k)
-            h = self.extent / n
-            out.append((n, self.eps_cells * h))
-        return out
+        """(cells, mollification scale) per level, coarsest first, eps/spacing fixed."""
+        cells = [self.n // (2**k) for k in range(self.levels - 1, -1, -1)]
+        return [(n, self.eps_cells * (self.extent / n)) for n in cells]
 
     to_json = render
 
@@ -179,9 +173,28 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         (f"alpha={cfg.alpha} inconsistent with 3p-3={3 * cfg.p - 3} (drop one of them)",
          cfg.alpha is not None and abs(cfg.alpha - (3 * cfg.p - 3)) > 1e-9),
     ) if bad]
+    if cfg.n >> (cfg.levels - 1) >= 4:
+        violations += _empty_windows(cfg)
     if violations:
         raise ConfigError(violations)
     return cfg
+
+
+def _empty_windows(cfg: ExperimentConfig) -> list[str]:
+    """The check windows that hold no cell: the check region at the widest margin a
+    check uses on a grid, the coarsest for factorize and the finest for produce (its
+    largest scale plus a stencil cell, or the jump's cubic-average radius)."""
+    (n_c, eps_max), (n_f, eps) = cfg.refinement()[0], cfg.refinement()[-1]
+    h_c, h_f = cfg.extent / n_c, cfg.extent / n_f
+    produce = {"vortex": max(_PRODUCE_SCALES["vortex"]) * eps + h_f,
+               "jump": _JUMP_CUBIC_CELLS * h_f}.get(cfg.field.kind, eps + h_f)
+    out = []
+    for check, n, margin in (("factorize", n_c, eps_max + 2 * h_c), ("produce", n_f, produce)):
+        if not np.any(_region(cfg, centered_grid(n, cfg.extent), margin)):
+            out.append(f"grid too small: the {check} window, the check region at distance >= "
+                       f"{margin:.4g} from the boundary of the {n}-cell grid, holds no cell "
+                       f"(grid.n={cfg.n}, levels={cfg.levels}, eps_cells={cfg.eps_cells:g})")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +209,28 @@ class CheckResult:
     artifacts: dict[str, bytes]
 
 
-def _region_of(cfg: ExperimentConfig):
-    """Subdomain selector for norms: annulus for vortex-like fields, box else."""
-    kind = cfg.field.kind
-
-    def fn(grid: Grid2):
-        if kind == "vortex":
-            r = np.hypot(*grid.meshgrid())
-            return (r > 0.45 * cfg.extent / 2) & (r < 0.7 * cfg.extent / 2)
+def _region(cfg: ExperimentConfig, grid: Grid2, margin: float = 0.0):
+    """Subdomain for norms: annulus for vortex-like fields, box else, and only its
+    cells at distance >= margin from the boundary."""
+    if cfg.field.kind == "vortex":
+        r = np.hypot(*grid.meshgrid())
+        region = (r > 0.45 * cfg.extent / 2) & (r < 0.7 * cfg.extent / 2)
+    else:
         half = 0.3 * cfg.extent
-        return grid.rect_mask(-half, half, -half, half)
+        region = grid.rect_mask(-half, half, -half, half)
+    return region & grid.interior_mask(margin)
 
-    return fn
+
+#: multiples of the finest scale at which check_produce also mollifies the finest field
+_PRODUCE_SCALES = {"constant": (), "jump": (2,), "vortex": (4, 2)}
+#: cells of the jump's cubic-average scale (midpoint quadrature needs a well-resolved half disk)
+_JUMP_CUBIC_CELLS = 32
 
 
-def _fields_ladder(cfg: ExperimentConfig) -> list[tuple[AngleField, float]]:
-    return [
-        (build_field(cfg.field, centered_grid(n, cfg.extent)), eps)
-        for n, eps in cfg.refinement()
-    ]
+def refinement_ladder(cfg: ExperimentConfig) -> list[Level]:
+    """The run's levels, coarsest first: built once, shared read-only by every check."""
+    return [mollified_level(build_field(cfg.field, centered_grid(n, cfg.extent)), eps)
+            for n, eps in cfg.refinement()]
 
 
 def _entropy_suite(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tuple[str, CircleFunction]]:
@@ -227,39 +243,37 @@ def _entropy_suite(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tupl
     return fs
 
 
-def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
+def check_produce(cfg: ExperimentConfig, ladder: list[Level],
+                  rng: np.random.Generator) -> CheckResult:
     kind = cfg.field.kind
-    region_of = _region_of(cfg)
-    ladder = _fields_ladder(cfg)
     details: dict = {}
     rows = []
     ok = True
 
-    m, eps = ladder[-1]
+    fine = ladder[-1]
+    m, eps = fine.m, fine.eps
+    # the finest field at 4 eps (vortex) and 2 eps (vortex, jump), coarsest first
+    scales = [mollified_level(m, eps * k) for k in _PRODUCE_SCALES[kind]] + [fine]
     if kind == "constant":
-        v = mollify(m, Mollifier(eps))
-        d = div_entropy(v, jin_kohn(1))
+        d = div_entropy(fine.v, jin_kohn(1))
         worst = float(np.max(np.abs(d.values[d.effective_mask()])))
         details["sup_production"] = worst
         ok = worst <= cfg.tol("trivial_production")
     elif kind == "vortex":
-        rep = production_ladder(m, jin_kohn(1), [eps * 4, eps * 2, eps], cfg.p,
-                                region_of(m.grid), label="jin-kohn-1")
+        grid = m.grid
+        rep = production_ladder(scales, jin_kohn(1), cfg.p, _region(cfg, grid), label="jin-kohn-1")
         details["ladder"] = rep.to_json()
         details["decay_rate"] = rep.decay_rate()
         rows += [[f"{rep.label}", e, v] for e, v in zip(rep.eps_ladder, rep.lp_norms)]
-        bound = pointwise_bound_check(
-            m, jin_kohn_circle(1), jin_kohn(1), [eps * 2, eps], region_of(m.grid),
-            bound=cfg.tol("pointwise_bound"),
-        )
+        pms = [cubic_difference_average(lv.m, lv.eps) for lv in scales[1:]]
+        bound = pointwise_bound_check(scales[1:], pms, jin_kohn_circle(1), jin_kohn(1),
+                                      _region(cfg, grid), bound=cfg.tol("pointwise_bound"))
         details["pointwise_sup_ratios"] = list(bound.sup_ratios)
-        pm = cubic_difference_average(m, eps)
-        grid = m.grid
         r = np.hypot(*grid.meshgrid())
-        inner = region_of(grid) & grid.interior_mask(eps + grid.spacing)
+        inner = _region(cfg, grid, eps + grid.spacing)
         outer = (r > 0.45 * cfg.extent / 2 - eps) & (r < 0.7 * cfg.extent / 2 + eps)
         hs = [grid.spacing * c for c in cfg.h_ladder_cells]
-        bnd = cubic_average_besov_bound(m, eps, cfg.p, inner, outer, hs, pm=pm)
+        bnd = cubic_average_besov_bound(m, eps, cfg.p, inner, outer, hs, pm=pms[-1])
         details["bounded_sequence_ratio"] = bnd.ratio
         ok = bound.passed and bnd.passed and rep.decay_rate() >= cfg.tol("decay_rate")
     elif kind == "jump":
@@ -270,14 +284,13 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
         grid = m.grid
         half = 0.3 * cfg.extent
         strip = grid.rect_mask(-half, half, spec.point[1] - half, spec.point[1] + half)
-        repm = jump_production_mass(m, jin_kohn(1), [eps * 2, eps], expected, strip)
+        repm = jump_production_mass(scales, jin_kohn(1), expected, strip)
         details["jump_mass"] = {"expected": expected, "masses": list(repm.masses),
                                 "rel_errors": list(repm.rel_errors)}
         rows += [["jump-mass", e, v] for e, v in zip(repm.eps_ladder, repm.masses)]
-        # cubic average on the jump line at scale 32 cells (midpoint quadrature
-        # needs a well-resolved half disk); expected value from the cap area at
-        # the distance of the nearest cell row
-        eps_b = 32 * grid.spacing
+        # cubic average on the jump line; expected value from the cap area at the
+        # distance of the nearest cell row
+        eps_b = _JUMP_CUBIC_CELLS * grid.spacing
         pm = cubic_difference_average(m, eps_b)
         jrow = int(np.argmin(np.abs(grid.ys() - spec.point[1])))
         d = abs(float(grid.ys()[jrow]) - spec.point[1])
@@ -293,10 +306,8 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
         outer = grid.rect_mask(-box - eps_b, box + eps_b, spec.point[1] - box - eps_b,
                                spec.point[1] + box + eps_b)
         hs = [grid.spacing * c for c in cfg.h_ladder_cells]
-        ratios = []
-        for p in (1.0, 7.0 / 6.0, 4.0 / 3.0):
-            bnd = cubic_average_besov_bound(m, eps_b, p, inner, outer, hs, pm=pm)
-            ratios.append(bnd.ratio)
+        ratios = [cubic_average_besov_bound(m, eps_b, p, inner, outer, hs, pm=pm).ratio
+                  for p in (1.0, 7.0 / 6.0, 4.0 / 3.0)]
         details["bounded_sequence_ratios"] = ratios
         ok = (
             repm.rel_errors[-1] <= cfg.tol("jump_mass_rel")
@@ -305,19 +316,19 @@ def check_produce(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
         )
     art = {"production.csv": csv_text(["label", "eps", "value"], rows).encode()} if rows else {}
     if cfg.dump_fields and kind != "constant":
-        v = mollify(m, Mollifier(eps))
-        d = div_entropy(v, jin_kohn(1))
+        d = div_entropy(fine.v, jin_kohn(1))
         buf = io.BytesIO()
         write_field(buf, m.grid, d.values)
         art["production_finest.eelf"] = buf.getvalue()
     return CheckResult("produce", "PASS" if ok else "FAIL", details, art)
 
 
-def check_besov(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
+def check_besov(cfg: ExperimentConfig, ladder: list[Level],
+                rng: np.random.Generator) -> CheckResult:
     kind = cfg.field.kind
-    m, eps = _fields_ladder(cfg)[-1]
+    m = ladder[-1].m
     grid = m.grid
-    region = _region_of(cfg)(grid) if kind != "jump" else grid.rect_mask(
+    region = _region(cfg, grid) if kind != "jump" else grid.rect_mask(
         -0.375 * cfg.extent, 0.375 * cfg.extent, -0.375 * cfg.extent, 0.375 * cfg.extent
     )
     hs = [grid.spacing * c for c in cfg.h_ladder_cells]
@@ -338,45 +349,30 @@ def check_besov(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
     return CheckResult("besov", "PASS" if ok else "FAIL", details, art)
 
 
-def check_kinetic(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
+def check_kinetic(cfg: ExperimentConfig, ladder: list[Level],
+                  rng: np.random.Generator) -> CheckResult:
     kind = cfg.field.kind
-    ladder = _fields_ladder(cfg)
     details: dict = {}
     rows = []
     residual_scale = cfg.tol("kinetic_tol_coarse")
-    ok = True
     worst_by_level = []
-    for li, (m, eps) in enumerate(ladder):
-        grid = m.grid
-        box = 0.25 * cfg.extent
-        if kind == "vortex":
-            zetas = [
-                SpaceTimeTestFunction(
-                    RadialBump(center=cfg.field.center, r0=0.3125 * cfg.extent,
-                               width=0.125 * cfg.extent),
-                    CircleFunction.random_real(5, np.random.default_rng(cfg.seed + 11)),
-                    "annular",
-                )
-            ]
-            sigma = None
-        elif kind == "jump":
-            zetas = [
-                SpaceTimeTestFunction(
-                    TensorBump(center=(0.05 * cfg.extent, cfg.field.point[1]),
-                               halfwidth=(box, box)),
-                    CircleFunction.random_real(5, np.random.default_rng(cfg.seed + 13)),
-                    "straddling",
-                )
-            ]
-            sigma = JumpLineMeasure(cfg.field)
-        else:
-            zetas = test_function_suite(np.random.default_rng(cfg.seed + 17), 3, box,
-                                        (0.15 * cfg.extent, 0.25 * cfg.extent))
-            sigma = None
-        rep = kinetic_residual(m, sigma, zetas)
-        worst = rep.worst()
-        worst_by_level.append(worst)
-        rows += [[li, grid.nx, lab, r] for lab, r in zip(rep.labels, rep.residuals)]
+    box = 0.25 * cfg.extent
+    sigma = JumpLineMeasure(cfg.field) if kind == "jump" else None
+    if kind == "vortex":
+        zetas = [SpaceTimeTestFunction(
+            RadialBump(center=cfg.field.center, r0=0.3125 * cfg.extent, width=0.125 * cfg.extent),
+            CircleFunction.random_real(5, np.random.default_rng(cfg.seed + 11)), "annular")]
+    elif kind == "jump":
+        zetas = [SpaceTimeTestFunction(
+            TensorBump(center=(0.05 * cfg.extent, cfg.field.point[1]), halfwidth=(box, box)),
+            CircleFunction.random_real(5, np.random.default_rng(cfg.seed + 13)), "straddling")]
+    else:
+        zetas = test_function_suite(np.random.default_rng(cfg.seed + 17), 3, box,
+                                    (0.15 * cfg.extent, 0.25 * cfg.extent))
+    for li, lv in enumerate(ladder):  # one set of test functions, paired with every level
+        rep = kinetic_residual(lv.m, sigma, zetas)
+        worst_by_level.append(rep.worst())
+        rows += [[li, lv.m.grid.nx, lab, r] for lab, r in zip(rep.labels, rep.residuals)]
     details["worst_by_level"] = worst_by_level
     if len(worst_by_level) >= 2 and worst_by_level[0] > 1e-14:
         details["reduction"] = worst_by_level[-1] / worst_by_level[0]
@@ -386,10 +382,8 @@ def check_kinetic(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
     ok = ok and worst_by_level[-1] <= residual_scale
 
     # factorized-measure invariants at the finest level
-    m, eps = ladder[-1]
-    v = mollify(m, Mollifier(eps))
-    theta_eps, _ = theta_of_vec(v)
-    sig = factorized_measure(theta_eps, div_sigma_closed(v))
+    m = ladder[-1].m
+    sig = factorized_measure(ladder[-1].theta, ladder[-1].div_sigma)
     one = CircleFunction.constant(1.0)
     mass_gap = float(np.max(np.abs(sig.integrate(one))))
     nu_gap = float(np.max(np.abs(sig.nu().values - 2 * np.abs(sig.g))))
@@ -398,16 +392,15 @@ def check_kinetic(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResul
     zeta = ScalarField(m.grid, np.exp(-(x**2 + y**2)))
     gap = pairing_consistency_gap(sig, f, zeta)
     chi_rep = chi_difference_bound(m, f, np.random.default_rng(cfg.seed + 23))
-    details.update(
-        mass_gap=mass_gap, nu_gap=nu_gap, pairing_gap=gap,
-        chi_difference_ratio=chi_rep.max_ratio,
-    )
+    details.update(mass_gap=mass_gap, nu_gap=nu_gap, pairing_gap=gap,
+                   chi_difference_ratio=chi_rep.max_ratio)
     ok = ok and mass_gap <= 1e-12 and nu_gap == 0.0 and gap <= 1e-10 and chi_rep.passed
     art = {"kinetic_residuals.csv": csv_text(["level", "n", "zeta", "residual"], rows).encode()}
     return CheckResult("kinetic", "PASS" if ok else "FAIL", details, art)
 
 
-def check_interaction(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
+def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
+                      rng: np.random.Generator) -> CheckResult:
     alpha = cfg.effective_alpha()
     weight = make_interaction_weight(alpha)
     details: dict = {}
@@ -425,7 +418,7 @@ def check_interaction(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckR
     ok = agreement <= cfg.tol("interaction_agreement") and c_alpha > 0
 
     kind = cfg.field.kind
-    m, eps = _fields_ladder(cfg)[-1]
+    m = ladder[-1].m
 
     margin = 0.1 * cfg.extent
     pts = []
@@ -457,15 +450,13 @@ def check_interaction(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckR
     return CheckResult("interaction", "PASS" if ok else "FAIL", details, art)
 
 
-def check_factorize(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
+def check_factorize(cfg: ExperimentConfig, ladder: list[Level],
+                    rng: np.random.Generator) -> CheckResult:
     kind = cfg.field.kind
-    base_region = _region_of(cfg)
-    ladder = _fields_ladder(cfg)
-    eps_max = max(eps for _, eps in ladder)
 
     def region_of(grid: Grid2):
-        # same physical window at every level so ladder norms are comparable
-        return base_region(grid) & grid.interior_mask(eps_max + 2 * grid.spacing)
+        # the coarsest scale at every level: one physical window, so norms compare
+        return _region(cfg, grid, ladder[0].eps + 2 * grid.spacing)
 
     fs = _entropy_suite(cfg, rng)
     details: dict = {}
@@ -483,15 +474,15 @@ def check_factorize(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckRes
         ok = rep.vanishes
         frep = verify_factorization(ladder, fs[-1][1], cfg.p, region_of)
         details["factorization"] = frep.to_json()
-        rows += [["residual", e, v]
-                 for e, v in zip(frep.eps_ladder, frep.residual_norms)]
+        rows += [["residual", e, v] for e, v in zip(frep.eps_ladder, frep.residual_norms)]
         if frep.residual_norms[0] > 1e-13:
             ok = ok and frep.residual_norms[-1] <= 0.5 * frep.residual_norms[0]
     art = {"factorization.csv": csv_text(["label", "eps", "value"], rows).encode()}
     return CheckResult("factorize", "PASS" if ok else "FAIL", details, art)
 
 
-def check_entropy_identities(cfg: ExperimentConfig, rng: np.random.Generator) -> CheckResult:
+def check_entropy_identities(cfg: ExperimentConfig, ladder: list[Level],
+                             rng: np.random.Generator) -> CheckResult:
     details: dict = {}
     t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     worst_ent = 0.0
@@ -549,16 +540,21 @@ _CHECK_FNS = dict(zip(ALL_CHECKS, (check_produce, check_besov, check_kinetic, ch
                                    check_factorize, check_entropy_identities)))
 
 def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
-    """Execute the configured checks and write all artifacts; returns (bundle, exit code)."""
+    """Execute the configured checks on one read-only ladder and write all artifacts;
+    returns (bundle, exit code).  ConfigError if the field cannot be sampled on it."""
     outdir = Path(cfg.out)
     results: dict[str, CheckResult] = {}
+    try:
+        ladder = refinement_ladder(cfg)
+    except ValueError as exc:  # the field cannot be sampled on the config's grids
+        raise ConfigError([f"config field: {exc}"]) from None
 
     def one(name: str) -> CheckResult:
         if name == "interaction" and cfg.field.kind == "jump":  # the identity needs a rigid field
             return CheckResult(name, "SKIP", {"reason": f"not applicable to {cfg.field.kind} fields"}, {})
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ALL_CHECKS.index(name),)))
         try:
-            return _CHECK_FNS[name](cfg, rng)
+            return _CHECK_FNS[name](cfg, ladder, rng)
         except Exception as exc:  # recorded, run continues
             return CheckResult(name, "FAIL", {"error": f"{type(exc).__name__}: {exc}"}, {})
 
@@ -661,6 +657,8 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {"run": args, "dump-field": argparse.Namespace()}.get(args.cmd)
     try:
         cfg = _load_config(args.config, overrides)
+        if args.cmd == "run":
+            bundle, code = run_config(cfg)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -668,7 +666,6 @@ def main(argv: list[str] | None = None) -> int:
         print("config ok")
         return 0
     if args.cmd == "run":
-        bundle, code = run_config(cfg)
         for name, rec in bundle["checks"].items():
             print(f"{rec['status']:4s}  {name}")
         print(f"bundle: {Path(cfg.out) / 'bundle.json'}")

@@ -26,7 +26,7 @@ from typing import Callable, Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from .circle import CircleFunction, circle_from_samples
+from .circle import CircleFunction
 
 FloatArray = NDArray[np.float64]
 
@@ -122,6 +122,13 @@ def _sigma2_jacobian(v: FloatArray) -> FloatArray:
 # ---------------------------------------------------------------------------
 
 
+def generator_psi_phi(f: CircleFunction) -> tuple[CircleFunction, CircleFunction]:
+    """The two intermediate primitives (psi, phi) of the generated entropy."""
+    g = f.drop_modes({-1, 0, 1})
+    psi = g.antiderivative()
+    return psi, psi.mul_mode(1, 1j).antiderivative()
+
+
 def generated_entropy(f: CircleFunction) -> EntropyMap:
     """Entropy generated by a real band-limited circle function f.
 
@@ -137,19 +144,10 @@ def generated_entropy(f: CircleFunction) -> EntropyMap:
     """
     if not f.is_real():
         raise ValueError("generator must be a real-valued circle function")
-    g = f.drop_modes({-1, 0, 1})
-    psi = g.antiderivative()
-    phi = psi.mul_mode(1, 1j).antiderivative()
+    _, phi = generator_psi_phi(f)
     ks = np.arange(-phi.band, phi.band + 1)
     combined = CircleFunction(phi.coeffs * (-2.0 * np.sin(ks * np.pi / 2)))
     return EntropyMap.from_complex(combined)
-
-
-def generator_psi_phi(f: CircleFunction) -> tuple[CircleFunction, CircleFunction]:
-    """The two intermediate primitives (psi, phi) of the generated entropy."""
-    g = f.drop_modes({-1, 0, 1})
-    psi = g.antiderivative()
-    return psi, psi.mul_mode(1, 1j).antiderivative()
 
 
 def generated_entropy_closed_form(k: int, j: Literal[1, 2]) -> EntropyMap:
@@ -229,10 +227,6 @@ class DiskHarmonic:
         beta = np.zeros(k + 1)
         (alpha if kind == "cos" else beta)[k] = 1.0
         return DiskHarmonic.from_real_basis(alpha, beta)
-
-    @property
-    def degree(self) -> int:
-        return max(self.pos.size - 1, self.neg.size)
 
     def is_real(self, tol: float = 1e-12) -> bool:
         n = self.pos.size
@@ -445,20 +439,11 @@ class ExtendedEntropy:
         kind: str,
         value_fn: Callable[[FloatArray], FloatArray],
         jacobian_fn: Callable[[FloatArray], FloatArray],
-        *,
-        circle_map: EntropyMap | None = None,
-        potential: DiskHarmonic | None = None,
-        cutoff: RadialCutoff | None = None,
-        label: str = "",
         domain_radius: float = np.inf,
     ) -> None:
         self.kind = kind
         self._value = value_fn
         self._jacobian = jacobian_fn
-        self.circle_map = circle_map
-        self.potential = potential
-        self.cutoff = cutoff
-        self.label = label or kind
         self.domain_radius = domain_radius
 
     def check_domain(self, v: FloatArray, tol: float = 1e-8) -> None:
@@ -481,11 +466,9 @@ class ExtendedEntropy:
 def jin_kohn(j: Literal[1, 2]) -> ExtendedEntropy:
     """Closed-form Jin-Kohn entropy with exact first derivatives on R^2."""
     if j == 1:
-        return ExtendedEntropy("closed-form", _sigma1_value, _sigma1_jacobian,
-                               circle_map=jin_kohn_circle(1), label="jin-kohn-1")
+        return ExtendedEntropy("closed-form", _sigma1_value, _sigma1_jacobian)
     if j == 2:
-        return ExtendedEntropy("closed-form", _sigma2_value, _sigma2_jacobian,
-                               circle_map=jin_kohn_circle(2), label="jin-kohn-2")
+        return ExtendedEntropy("closed-form", _sigma2_value, _sigma2_jacobian)
     raise ValueError("j must be 1 or 2")
 
 
@@ -501,7 +484,7 @@ def linear_entropy() -> ExtendedEntropy:
         j[..., 1, 1] = 1.0
         return j
 
-    return ExtendedEntropy("closed-form", val, jac, label="linear")
+    return ExtendedEntropy("closed-form", val, jac)
 
 
 def radial_extension(phi: EntropyMap, cutoff: RadialCutoff | None = None) -> ExtendedEntropy:
@@ -535,8 +518,7 @@ def radial_extension(phi: EntropyMap, cutoff: RadialCutoff | None = None) -> Ext
         )
         return np.where((r > 0)[..., None, None], out, 0.0)
 
-    return ExtendedEntropy("radial", val, jac, circle_map=phi, cutoff=eta,
-                           label="radial", domain_radius=np.inf)
+    return ExtendedEntropy("radial", val, jac)
 
 
 def radial_psi_gamma(ext: ExtendedEntropy, v: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -593,15 +575,4 @@ def harmonic_entropy(phi: DiskHarmonic) -> ExtendedEntropy:
         j[..., 1, 1] = dy * y + ph + gy * x
         return j
 
-    # restriction to S^1, recovered spectrally from equispaced boundary samples
-    n = 4 * (phi.degree + 2) + 1
-    t = 2 * np.pi * np.arange(n) / n
-    vals = val(np.stack([np.cos(t), np.sin(t)], axis=-1))
-    circle = EntropyMap(
-        circle_from_samples(vals[:, 0]).real_part(),
-        circle_from_samples(vals[:, 1]).real_part(),
-    )
-    return ExtendedEntropy(
-        "harmonic", val, jac, circle_map=circle, potential=phi,
-        label="harmonic", domain_radius=1.0,
-    )
+    return ExtendedEntropy("harmonic", val, jac, domain_radius=1.0)

@@ -28,17 +28,9 @@ from .entropy import (
     multiplier,
     radial_extension,
 )
-from .grids import (
-    AngleField,
-    BoolArray,
-    Mollifier,
-    ScalarField,
-    combine_masks,
-    lp_norm,
-    mollify,
-)
-from .kinetic import KineticMeasure, factorized_measure, pair_measure, theta_of_vec
-from .production import div_entropy, div_sigma_closed
+from .grids import BoolArray, ScalarField, combine_masks, lp_norm
+from .kinetic import KineticMeasure, factorized_measure, pair_measure
+from .production import Level, div_entropy
 
 FloatArray = NDArray[np.float64]
 
@@ -80,40 +72,40 @@ class FactorizationReport:
         }
 
 
+def _reject_dead_zone(lv: Level, region: BoolArray) -> None:
+    if np.any(combine_masks(lv.v.mask, region) & ~lv.live):
+        raise ValueError("subdomain contains extension dead-zone cells (|m_eps| < 1/2)")
+
+
 def verify_factorization(
-    ladder: list[tuple[AngleField, float]],
+    ladder: list[Level],
     f: CircleFunction,
     p: float,
     region_of,
 ) -> FactorizationReport:
     """Ladder comparison of div Phi_f(m_eps) with its factorized form.
 
-    The ladder pairs a field sampling with its mollification scale; scale
-    limits are meaningful when the ratio scale/spacing stays fixed while the
-    grid refines.  ``region_of`` maps a grid to the subdomain mask.  Cells of
-    the subdomain falling in the extension dead zone (|m_eps| < 1/2) are
-    rejected; for rigid test fields both sides decay together.
+    Scale limits are meaningful when the ratio scale/spacing stays fixed
+    while the grid refines.  ``region_of`` maps a grid to the subdomain mask.
+    Cells of the subdomain falling in the extension dead zone (|m_eps| < 1/2)
+    are rejected; for rigid test fields both sides decay together.
     """
     phi = radial_extension(generated_entropy(f))
-    lhs_norms, rhs_norms, res_norms, eps_list = [], [], [], []
-    for m, eps in sorted(ladder, key=lambda t: -t[1]):
-        region = region_of(m.grid)
-        v = mollify(m, Mollifier(eps))
-        theta_eps, live = theta_of_vec(v)
-        inside = combine_masks(v.mask, region)
-        if np.any(inside & ~live):
-            raise ValueError("subdomain contains extension dead-zone cells (|m_eps| < 1/2)")
-        lhs = div_entropy(v, phi)
-        s1, s2 = div_sigma_closed(v)
-        rot, _ = rotated_productions(theta_eps.values, s1, s2)
-        rhs = factor_coefficient(f, theta_eps.values) * rot
+    lhs_norms, rhs_norms, res_norms = [], [], []
+    for lv in ladder:
+        grid = lv.m.grid
+        region = region_of(grid)
+        _reject_dead_zone(lv, region)
+        lhs = div_entropy(lv.v, phi)
+        s1, s2 = lv.div_sigma
+        rot, _ = rotated_productions(lv.theta.values, s1, s2)
+        rhs = factor_coefficient(f, lv.theta.values) * rot
         where = combine_masks(lhs.effective_mask(), s1.effective_mask(), region)
-        eps_list.append(eps)
-        lhs_norms.append(lp_norm(lhs.values, m.grid, p, where))
-        rhs_norms.append(lp_norm(rhs, m.grid, p, where))
-        res_norms.append(lp_norm(lhs.values - rhs, m.grid, p, where))
+        lhs_norms.append(lp_norm(lhs.values, grid, p, where))
+        rhs_norms.append(lp_norm(rhs, grid, p, where))
+        res_norms.append(lp_norm(lhs.values - rhs, grid, p, where))
     return FactorizationReport(
-        eps_ladder=tuple(eps_list),
+        eps_ladder=tuple(lv.eps for lv in ladder),
         lhs_norms=tuple(lhs_norms),
         rhs_norms=tuple(rhs_norms),
         residual_norms=tuple(res_norms),
@@ -134,8 +126,7 @@ class HarmonicDecompositionReport:
 
 def verify_harmonic_decomposition(
     psi: CircleFunction,
-    m: AngleField,
-    eps: float,
+    lv: Level,
     p: float,
     region: BoolArray,
 ) -> HarmonicDecompositionReport:
@@ -146,25 +137,22 @@ def verify_harmonic_decomposition(
     (the term that drops out in the limit for solutions), and the residual
     of the full two-term identity.
     """
-    v = mollify(m, Mollifier(eps))
-    theta_eps, live = theta_of_vec(v)
-    inside = combine_masks(v.mask, region)
-    if np.any(inside & ~live):
-        raise ValueError("subdomain contains extension dead-zone cells (|m_eps| < 1/2)")
-    lhs = div_entropy(v, harmonic_entropy(harmonic_extension(psi)))
-    s1, s2 = div_sigma_closed(v)
-    rot, rot_perp = rotated_productions(theta_eps.values, s1, s2)
+    _reject_dead_zone(lv, region)
+    lhs = div_entropy(lv.v, harmonic_entropy(harmonic_extension(psi)))
+    s1, s2 = lv.div_sigma
+    rot, rot_perp = rotated_productions(lv.theta.values, s1, s2)
     a1 = multiplier(1, psi)
     a2 = multiplier(2, psi)
-    t1 = a1.real_values(theta_eps.values) * rot
-    t2 = a2.real_values(theta_eps.values) * rot_perp
+    t1 = a1.real_values(lv.theta.values) * rot
+    t2 = a2.real_values(lv.theta.values) * rot_perp
     where = combine_masks(lhs.effective_mask(), s1.effective_mask(), region)
+    grid = lv.m.grid
     return HarmonicDecompositionReport(
-        eps=eps,
-        lhs_norm=lp_norm(lhs.values, m.grid, p, where),
-        first_term_norm=lp_norm(t1, m.grid, p, where),
-        second_term_norm=lp_norm(t2, m.grid, p, where),
-        residual_norm=lp_norm(lhs.values - t1 - t2, m.grid, p, where),
+        eps=lv.eps,
+        lhs_norm=lp_norm(lhs.values, grid, p, where),
+        first_term_norm=lp_norm(t1, grid, p, where),
+        second_term_norm=lp_norm(t2, grid, p, where),
+        residual_norm=lp_norm(lhs.values - t1 - t2, grid, p, where),
         p=p,
     )
 
@@ -181,38 +169,34 @@ class VanishingProductionReport:
 
 
 def vanishing_production_check(
-    ladder: list[tuple[AngleField, float]],
+    ladder: list[Level],
     fs: list[tuple[str, CircleFunction]],
     region_of,
     rate_threshold: float = 0.9,
 ) -> VanishingProductionReport:
     """Ladder decay of all generated-entropy productions and of the measure mass.
 
-    The ladder pairs field samplings with mollification scales (fixed
-    scale/spacing ratio across levels).  For fields whose Jin-Kohn
+    The levels keep a fixed scale/spacing ratio.  For fields whose Jin-Kohn
     productions vanish in the limit, every production and the factorized
     measure total variation must decay with empirical rate >= the threshold;
     fields with persistent production mass are flagged as the expected
     negative control.
     """
-    ladder = sorted(ladder, key=lambda t: -t[1])
-    eps_sorted = [eps for _, eps in ladder]
+    eps_ladder = [lv.eps for lv in ladder]
     nu_masses = []
     rows: list[list[float]] = [[] for _ in fs]
-    for m, eps in ladder:
-        region = region_of(m.grid)
-        v = mollify(m, Mollifier(eps))
-        theta_eps, _ = theta_of_vec(v)
-        s1, s2 = div_sigma_closed(v)
-        sigma = factorized_measure(theta_eps, (s1, s2))
-        where = combine_masks(s1.effective_mask(), region)
-        nu_masses.append(lp_norm(sigma.nu().values, m.grid, 1, where))
+    for lv in ladder:
+        grid = lv.m.grid
+        region = region_of(grid)
+        sigma = factorized_measure(lv.theta, lv.div_sigma)
+        where = combine_masks(lv.div_sigma[0].effective_mask(), region)
+        nu_masses.append(lp_norm(sigma.nu().values, grid, 1, where))
         for i, (_, f) in enumerate(fs):
             ext = radial_extension(generated_entropy(f))
-            d = div_entropy(v, ext)
+            d = div_entropy(lv.v, ext)
             where_d = combine_masks(d.effective_mask(), region)
-            rows[i].append(lp_norm(np.abs(d.values), m.grid, 1, where_d))
-    le = np.log(eps_sorted)
+            rows[i].append(lp_norm(np.abs(d.values), grid, 1, where_d))
+    le = np.log(eps_ladder)
     rates = []
     for row in rows + [nu_masses]:
         vals = np.asarray(row)
@@ -226,7 +210,7 @@ def vanishing_production_check(
     flagged = not vanishes
     return VanishingProductionReport(
         labels=tuple(lbl for lbl, _ in fs),
-        eps_ladder=tuple(eps_sorted),
+        eps_ladder=tuple(eps_ladder),
         masses=tuple(tuple(row) for row in rows),
         nu_masses=tuple(nu_masses),
         rates=tuple(rates),

@@ -42,11 +42,6 @@ TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 
 
-def theta_of(m: AngleField) -> ScalarField:
-    """The stored angle in [0, 2pi)."""
-    return ScalarField(m.grid, m.theta.copy())
-
-
 def theta_of_vec(v: VecField, dead_radius: float = 0.5) -> tuple[ScalarField, BoolArray]:
     """Angle of a vector field with range normalization.
 

@@ -5,7 +5,9 @@ computed by central differences of the composite cell values.  The module
 also provides the closed forms of the two Jin-Kohn productions (valid for
 divergence-free smooth fields), the localized cubic difference average
 controlling all productions, and the decomposition identity of harmonic
-entropy productions into Jin-Kohn ones.
+entropy productions into Jin-Kohn ones.  :func:`mollified_level` is the one
+place a field is mollified: the ladder functions here and in
+:mod:`eelab.factorization` take its :class:`Level` records, coarsest first.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .grids import (
     mollify,
     stencil_mask,
 )
+from .kinetic import theta_of_vec
 from .regularity import besov_seminorm
 
 FloatArray = NDArray[np.float64]
@@ -96,6 +99,40 @@ def cubic_difference_average(m: AngleField, eps: float) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
+# mollified levels
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Level:
+    """A field sampling at one mollification scale, with everything derived from it.
+
+    ``v`` is m * rho_eps, ``theta`` and ``live`` its angle and live mask
+    (|v| >= 1/2) and ``div_sigma`` its two closed-form Jin-Kohn productions.
+    Every array is read-only, so one level can feed any number of checks,
+    also on concurrent threads.
+    """
+
+    m: AngleField
+    eps: float
+    v: VecField
+    theta: ScalarField
+    live: BoolArray
+    div_sigma: tuple[ScalarField, ScalarField]
+
+
+def mollified_level(m: AngleField, eps: float) -> Level:
+    """The level of ``m`` at scale ``eps``; marks ``m.theta`` read-only too."""
+    v = mollify(m, Mollifier(eps))
+    theta, live = theta_of_vec(v)
+    s1, s2 = div_sigma_closed(v)
+    for a in (m.theta, v.values, v.mask, theta.values, theta.mask, live,
+              s1.values, s1.mask, s2.values, s2.mask):
+        a.flags.writeable = False
+    return Level(m, eps, v, theta, live, (s1, s2))
+
+
+# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
@@ -126,22 +163,20 @@ class ProductionReport:
 
 
 def production_ladder(
-    m: AngleField,
+    levels: list[Level],
     ext: ExtendedEntropy,
-    eps_ladder: list[float],
     p: float,
     region: BoolArray,
     label: str = "",
 ) -> ProductionReport:
     """L^p norms of div Phi(m_eps) over a subdomain along a mollification ladder."""
     norms = []
-    for eps in sorted(eps_ladder, reverse=True):
-        v = mollify(m, Mollifier(eps))
-        d = div_entropy(v, ext)
+    for lv in levels:
+        d = div_entropy(lv.v, ext)
         where = combine_masks(d.effective_mask(), region)
-        norms.append(lp_norm(d.values, m.grid, p, where))
+        norms.append(lp_norm(d.values, lv.m.grid, p, where))
     return ProductionReport(
-        eps_ladder=tuple(sorted(eps_ladder, reverse=True)),
+        eps_ladder=tuple(lv.eps for lv in levels),
         lp_norms=tuple(norms),
         p=p,
         label=label,
@@ -159,10 +194,10 @@ class PointwiseBoundReport:
 
 
 def pointwise_bound_check(
-    m: AngleField,
+    levels: list[Level],
+    pms: list[ScalarField],
     phi: EntropyMap,
     ext: ExtendedEntropy,
-    eps_ladder: list[float],
     region: BoolArray,
     bound: float,
     floor: float = 1e-14,
@@ -177,17 +212,16 @@ def pointwise_bound_check(
     negligible against the live-cell production scale.  Passes when the
     live ratio stays below the configured constant uniformly and the dead
     diagnostic stays below 1e-4.  The entropy must actually be one
-    (membership residual is checked).
+    (membership residual is checked).  ``pms`` holds the cubic averages
+    P_eps of the levels, in their order.
     """
     if ent_residual(phi).sup_norm() > 1e-8:
         raise ValueError("pointwise bound requires an entropy (membership residual > 1e-8)")
     c2 = phi.c2_norm()
     ratios = []
     dead_fracs = []
-    for eps in sorted(eps_ladder, reverse=True):
-        v = mollify(m, Mollifier(eps))
-        d = div_entropy(v, ext)
-        pm = cubic_difference_average(m, eps)
+    for lv, pm in zip(levels, pms):
+        d = div_entropy(lv.v, ext)
         where = combine_masks(d.effective_mask(), pm.effective_mask(), region)
         if not np.any(where):
             raise ValueError("empty subdomain after masking")
@@ -207,7 +241,7 @@ def pointwise_bound_check(
         dead_fracs.append(dead_max / max(live_scale, 1e-8))
     sup = max(ratios)
     return PointwiseBoundReport(
-        eps_ladder=tuple(sorted(eps_ladder, reverse=True)),
+        eps_ladder=tuple(lv.eps for lv in levels),
         sup_ratios=tuple(ratios),
         dead_cell_fractions=tuple(dead_fracs),
         c2=c2,
@@ -285,9 +319,8 @@ class JumpMassReport:
 
 
 def jump_production_mass(
-    m: AngleField,
+    levels: list[Level],
     ext: ExtendedEntropy,
-    eps_ladder: list[float],
     expected: float,
     length_mask: BoolArray,
 ) -> JumpMassReport:
@@ -297,11 +330,10 @@ def jump_production_mass(
     ``length_mask`` selects the strip cells and must contain the mollified
     layer.
     """
-    grid = m.grid
     masses = []
-    for eps in sorted(eps_ladder, reverse=True):
-        v = mollify(m, Mollifier(eps))
-        d = div_entropy(v, ext)
+    for lv in levels:
+        grid = lv.m.grid
+        d = div_entropy(lv.v, ext)
         where = combine_masks(d.effective_mask(), length_mask)
         cols = np.any(where, axis=0)
         length = float(cols.sum()) * grid.spacing
@@ -309,7 +341,7 @@ def jump_production_mass(
         masses.append(mass / length)
     rel = tuple(abs(ms - expected) / abs(expected) for ms in masses)
     return JumpMassReport(
-        eps_ladder=tuple(sorted(eps_ladder, reverse=True)),
+        eps_ladder=tuple(lv.eps for lv in levels),
         masses=tuple(masses),
         expected=expected,
         rel_errors=rel,

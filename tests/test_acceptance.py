@@ -55,6 +55,7 @@ from eelab.production import (
     div_sigma_closed,
     harmonic_production_identity,
     jump_production_mass,
+    mollified_level,
     refinement_order,
 )
 from eelab.regularity import (
@@ -98,7 +99,7 @@ def jump_setup():
 @pytest.fixture(scope="module")
 def vortex_ladder():
     return [
-        (build_field(VortexSpec(), centered_grid(n, 2.0)), eps)
+        mollified_level(build_field(VortexSpec(), centered_grid(n, 2.0)), eps)
         for n, eps in ((64, 0.16), (128, 0.08), (256, 0.04))
     ]
 
@@ -212,7 +213,8 @@ def test_criterion_08_jump_cost(jump_setup):
         spec.unit_normal() @ (jin_kohn(1).value(mp[None])[0] - jin_kohn(1).value(mm[None])[0])
     )
     strip = g.rect_mask(-0.6, 0.6, yrow - 0.4, yrow + 0.4)
-    rep = jump_production_mass(m, jin_kohn(1), [0.25, 0.125], expected, strip)
+    levels = [mollified_level(m, eps) for eps in (0.25, 0.125)]
+    rep = jump_production_mass(levels, jin_kohn(1), expected, strip)
     verdict(8, rep.rel_errors[-1] <= 0.02,
             f"jump-cost mass per unit length (rel err {rep.rel_errors[-1]:.2e} <= 2e-2)")
 
@@ -359,14 +361,14 @@ def test_criterion_13_factorization_consistency(jump_setup, vortex_ladder):
           ("rand", CircleFunction.random_real(8, np.random.default_rng(RNG_SEED + 5)))]
     rep_v = vanishing_production_check(vortex_ladder, fs, annulus)
     const_ladder = [
-        (build_field(ConstantSpec(0.4), centered_grid(n, 2.0)), e)
+        mollified_level(build_field(ConstantSpec(0.4), centered_grid(n, 2.0)), e)
         for n, e in ((64, 0.16), (128, 0.08))
     ]
     rep_c = vanishing_production_check(
         const_ladder, fs, lambda gg: gg.rect_mask(-0.5, 0.5, -0.5, 0.5)
     )
     jump_ladder = [
-        (build_field(JumpSpec(), centered_grid(n, 2.0)), e)
+        mollified_level(build_field(JumpSpec(), centered_grid(n, 2.0)), e)
         for n, e in ((64, 0.16), (128, 0.08), (256, 0.04))
     ]
     rep_j = vanishing_production_check(

@@ -13,9 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eelab import cli
+from eelab import cli, production
 from eelab.cli import ConfigError, _load_config, config_from_json, main, run_config
-from eelab.grids import ConstantSpec, JumpSpec, VortexSpec, read_field
+from eelab.grids import ConstantSpec, JumpSpec, VortexSpec, build_field, mollify, read_field
 from eelab.reporting import json_dumps
 from eelab.schema import declared
 
@@ -117,12 +117,44 @@ def test_run_constant_all_pass(tmp_path):
 def test_run_jump_skips_interaction(tmp_path):
     obj = dict(BASE)
     obj["field"] = {"kind": "jump"}
+    obj["grid"] = {"n": 96, "extent": 2.0}  # the jump's 32-cell cubic average needs n > 64
     obj["checks"] = ["interaction"]
     cfg = config_from_json(obj)
     cfg.out = str(tmp_path / "out")
     bundle, code = run_config(cfg)
     assert code == 0
     assert bundle["checks"]["interaction"]["status"] == "SKIP"
+
+
+@pytest.mark.parametrize("kind, n", [("constant", 64), ("jump", 96), ("vortex", 64)])
+def test_run_builds_each_level_once(tmp_path, monkeypatch, kind, n):
+    # produce, kinetic and factorize on three threads build and mollify every
+    # (grid, eps) they evaluate exactly once: the ladder, plus the finest field
+    # at the extra scales of produce
+    fld = json.loads((ROOT / "configs" / f"{kind}.json").read_text())["field"]
+    obj = dict(BASE, field=fld, grid={"n": n, "extent": 2.0},
+               checks=["produce", "kinetic", "factorize"])
+    cfg = config_from_json(obj)
+    cfg.out, cfg.jobs = str(tmp_path / "out"), 3
+    built, mollified = [], []
+
+    def counted_build(spec, grid):
+        built.append(grid.nx)
+        return build_field(spec, grid)
+
+    def counted_mollify(m, kernel):
+        mollified.append((m.grid.nx, kernel.eps))
+        return mollify(m, kernel)
+
+    monkeypatch.setattr(cli, "build_field", counted_build)
+    monkeypatch.setattr(production, "mollify", counted_mollify)
+    bundle, _ = run_config(cfg)
+    assert [r["details"].get("error") for r in bundle["checks"].values()] == [None] * 3
+    levels = cfg.refinement()
+    n_f, eps = levels[-1]
+    extra = [(n_f, k * eps) for k in {"constant": (), "jump": (2,), "vortex": (4, 2)}[kind]]
+    assert sorted(built) == [n for n, _ in levels]
+    assert sorted(mollified) == sorted(levels + extra)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -253,12 +285,15 @@ def test_benchmark_tracer_contract(tmp_path):
 
 
 def _jump_config_with(path: str, value) -> dict:
+    """The shipped jump config with ``value`` at ``path``; several space-separated
+    paths take a tuple of values."""
     obj = json.loads((ROOT / "configs" / "jump.json").read_text())
-    *groups, leaf = path.split(".")
-    node = obj
-    for g in groups:
-        node = node[g]
-    node[leaf] = value
+    for p, v in zip(path.split(), value) if " " in path else [(path, value)]:
+        *groups, leaf = p.split(".")
+        node = obj
+        for g in groups:
+            node = node[g]
+        node[leaf] = v
     return obj
 
 
@@ -285,6 +320,16 @@ def _jump_config_with(path: str, value) -> dict:
     ("tolerances", {"jump_mass_rell": 0.5}, "config tolerances has unknown key 'jump_mass_rell'"),
     ("field.normal", [0, 0], "config field.normal must be nonzero, got [0, 0]"),
     ("checks", "produce", "config checks must be a non-empty list, got 'produce'"),
+    # grids too small for a check window, at the shipped levels 3 and eps_cells 8
+    ("grid.n", 80, "the factorize window, the check region at distance >= 1 from the boundary "
+     "of the 20-cell grid, holds no cell (grid.n=80, levels=3, eps_cells=8)"),
+    ("grid.n", 64, "the produce window"),
+    ("field grid.n", ({"kind": "constant"}, 80), "factorize window"),
+    ("field grid.n", ({"kind": "vortex"}, 120), "factorize window"),
+    ("field grid.n", ({"kind": "vortex"}, 96), "the produce window"),
+    ("levels", 5, "holds no cell (grid.n=256, levels=5, eps_cells=8)"),
+    ("eps_cells", 30, "holds no cell (grid.n=256, levels=3, eps_cells=30)"),
+    ("field.theta_plus", 0.0, "config field: jump traces violate the divergence-free matching"),
 ])
 def test_bad_config_rejected_before_compute(tmp_path, capsys, path, value, fragment):
     cfg = tmp_path / "cfg.json"
@@ -331,18 +376,16 @@ def test_readme_config_reference_lists_every_key():
 
 def test_vortex_interaction_scan_passes_at_every_seed(monkeypatch):
     # check_interaction on the shipped vortex config with its (48, 96) identity
-    # stubbed out, so that the coercivity scan decides; the scan samples the
-    # analytic field, so n=64 gives the same samples as n=256
+    # stubbed out, so that the coercivity scan decides
     monkeypatch.setattr(cli, "interaction_identity_check",
                         lambda *args: SimpleNamespace(rel_residual=0.0))
-    obj = json.loads((ROOT / "configs" / "vortex.json").read_text())
-    obj["grid"]["n"] = 64
-    cfg = config_from_json(obj)
+    cfg = config_from_json(json.loads((ROOT / "configs" / "vortex.json").read_text()))
+    ladder = cli.refinement_ladder(cfg)
     spawn = (cli.ALL_CHECKS.index("interaction"),)
     failed = [
         seed for seed in range(200)
         if cli.check_interaction(
-            cfg, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn))
+            cfg, ladder, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn))
         ).status != "PASS"
     ]
     assert failed == []

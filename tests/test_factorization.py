@@ -23,7 +23,7 @@ from eelab.grids import (
     mollify,
 )
 from eelab.kinetic import factorized_measure, theta_of_vec
-from eelab.production import div_sigma_closed
+from eelab.production import div_sigma_closed, mollified_level
 
 
 def annulus(grid, lo=0.45, hi=0.7):
@@ -31,8 +31,12 @@ def annulus(grid, lo=0.45, hi=0.7):
     return (r > lo) & (r < hi)
 
 
+def ladder(spec, levels=((64, 0.16), (128, 0.08), (256, 0.04))):
+    return [mollified_level(build_field(spec, centered_grid(n, 2.0)), eps) for n, eps in levels]
+
+
 def vortex_ladder(levels=((64, 0.16), (128, 0.08), (256, 0.04))):
-    return [(build_field(VortexSpec(), centered_grid(n, 2.0)), eps) for n, eps in levels]
+    return ladder(VortexSpec(), levels)
 
 
 def test_factor_coefficient_values():
@@ -87,7 +91,7 @@ def test_verify_factorization_dead_zone_rejected():
     g = centered_grid(64, 2.0)
     m = build_field(JumpSpec(theta_plus=np.pi / 2, theta_minus=3 * np.pi / 2, normal=(1.0, 0.0)), g)
     with pytest.raises(ValueError, match="dead-zone"):
-        verify_factorization([(m, 0.25)], CircleFunction.cosine(2), 1.0,
+        verify_factorization([mollified_level(m, 0.25)], CircleFunction.cosine(2), 1.0,
                              lambda grid: grid.rect_mask(-0.4, 0.4, -0.4, 0.4))
 
 
@@ -96,7 +100,8 @@ def test_verify_harmonic_decomposition_modes_and_vortex():
     m = build_field(VortexSpec(), g)
     # constant mode: the identity entropy; production is the discrete
     # divergence, which vanishes to stencil accuracy on the annulus
-    rep = verify_harmonic_decomposition(CircleFunction.constant(1.0), m, 0.125, 2.0, annulus(g))
+    rep = verify_harmonic_decomposition(CircleFunction.constant(1.0), mollified_level(m, 0.125),
+                                        2.0, annulus(g))
     assert rep.first_term_norm < 1e-13
     assert rep.second_term_norm < 1e-13
     assert rep.lhs_norm < 40 * g.spacing**2
@@ -106,7 +111,8 @@ def test_verify_harmonic_decomposition_modes_and_vortex():
     for n, eps in ((128, 0.125), (256, 0.0625)):
         gg = centered_grid(n, 2.0)
         mm = build_field(VortexSpec(), gg)
-        r1 = verify_harmonic_decomposition(CircleFunction.cosine(1), mm, eps, 2.0, annulus(gg))
+        r1 = verify_harmonic_decomposition(CircleFunction.cosine(1), mollified_level(mm, eps),
+                                           2.0, annulus(gg))
         assert r1.first_term_norm < 1e-13 and r1.second_term_norm < 1e-13
         lhs.append(r1.lhs_norm)
     assert lhs[1] < 0.35 * lhs[0]
@@ -117,7 +123,7 @@ def test_verify_harmonic_decomposition_modes_and_vortex():
     for n, eps in ((128, 0.125), (256, 0.0625)):
         gg = centered_grid(n, 2.0)
         mm = build_field(VortexSpec(), gg)
-        reps.append(verify_harmonic_decomposition(psi, mm, eps, 2.0, annulus(gg)))
+        reps.append(verify_harmonic_decomposition(psi, mollified_level(mm, eps), 2.0, annulus(gg)))
     for attr in ("lhs_norm", "first_term_norm", "residual_norm"):
         assert getattr(reps[1], attr) < 0.35 * getattr(reps[0], attr)
     assert reps[0].second_term_norm < 1e-3 * reps[0].first_term_norm
@@ -130,7 +136,7 @@ def test_verify_harmonic_decomposition_second_term_subleading():
     for n, eps in ((96, 0.12), (192, 0.06)):
         g = centered_grid(n, 2.0)
         m = build_field(VortexSpec(), g)
-        rep = verify_harmonic_decomposition(psi, m, eps, 2.0, annulus(g))
+        rep = verify_harmonic_decomposition(psi, mollified_level(m, eps), 2.0, annulus(g))
         firsts.append(rep.first_term_norm)
         seconds.append(rep.second_term_norm)
     assert seconds[1] < 0.3 * seconds[0]
@@ -143,10 +149,8 @@ def test_vanishing_production_vortex_and_negative_control():
     assert rep.vanishes and not rep.flagged_negative_control
     assert all(r > 0.9 for r in rep.rates)
 
-    jladder = [(build_field(JumpSpec(), centered_grid(n, 2.0)), eps)
-               for n, eps in ((64, 0.16), (128, 0.08), (256, 0.04))]
     repj = vanishing_production_check(
-        jladder, fs, lambda g: g.rect_mask(-0.5, 0.5, -0.35, 0.35)
+        ladder(JumpSpec()), fs, lambda g: g.rect_mask(-0.5, 0.5, -0.35, 0.35)
     )
     assert repj.flagged_negative_control
     assert min(repj.rates) < 0.3
@@ -159,9 +163,8 @@ def test_vanishing_production_vortex_and_negative_control():
 
 def test_vanishing_production_constant_noise_floor():
     fs = [("cos2", CircleFunction.cosine(2))]
-    ladder = [(build_field(ConstantSpec(0.5), centered_grid(n, 2.0)), eps)
-              for n, eps in ((64, 0.16), (128, 0.08))]
-    rep = vanishing_production_check(ladder, fs, lambda g: g.rect_mask(-0.5, 0.5, -0.5, 0.5))
+    rep = vanishing_production_check(ladder(ConstantSpec(0.5), ((64, 0.16), (128, 0.08))), fs,
+                                     lambda g: g.rect_mask(-0.5, 0.5, -0.5, 0.5))
     assert rep.vanishes  # rounding-level masses count as vanished
 
 
@@ -196,6 +199,7 @@ def test_rotation_covariance_of_residuals():
     spec_rot = JumpSpec(normal=(-1.0, 0.0), theta_plus=JumpSpec().theta_plus + c,
                         theta_minus=JumpSpec().theta_minus + c)
     m_rot = build_field(spec_rot, g)
-    base = verify_factorization([(m, 0.125)], f, 1.0, box).residual_norms[0]
-    rotated = verify_factorization([(m_rot, 0.125)], f.shift(-c), 1.0, box).residual_norms[0]
+    base = verify_factorization([mollified_level(m, 0.125)], f, 1.0, box).residual_norms[0]
+    rotated = verify_factorization([mollified_level(m_rot, 0.125)], f.shift(-c), 1.0,
+                                   box).residual_norms[0]
     assert rotated == pytest.approx(base, rel=1e-12)

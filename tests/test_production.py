@@ -31,6 +31,7 @@ from eelab.production import (
     div_sigma_closed,
     harmonic_production_identity,
     jump_production_mass,
+    mollified_level,
     pointwise_bound_check,
     production_ladder,
     refinement_order,
@@ -109,10 +110,23 @@ def test_production_linearity_in_entropy():
     assert np.abs(combo - split)[sel].max() < 1e-12
 
 
+def test_level_arrays_are_read_only():
+    # a level is shared by every check of a run, also across threads: a
+    # consumer that writes into one of its arrays raises
+    g = centered_grid(32, 2.0)
+    lv = mollified_level(build_field(VortexSpec(), g), 0.25)
+    s1, s2 = lv.div_sigma
+    for a in (lv.m.theta, lv.v.values, lv.v.mask, lv.theta.values, lv.theta.mask, lv.live,
+              s1.values, s1.mask, s2.values, s2.mask):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = a[0, 0]
+
+
 def test_vortex_production_decays():
     g = centered_grid(256, 2.0)
     m = build_field(VortexSpec(), g)
-    rep = production_ladder(m, jin_kohn(1), [0.24, 0.12, 0.06], 1.0, annulus(g, 0.45, 0.7))
+    levels = [mollified_level(m, eps) for eps in (0.24, 0.12, 0.06)]
+    rep = production_ladder(levels, jin_kohn(1), 1.0, annulus(g, 0.45, 0.7))
     assert rep.lp_norms[0] > rep.lp_norms[-1]
     assert rep.decay_rate() > 1.5
 
@@ -154,16 +168,23 @@ def test_cubic_average_lipschitz_bound():
     assert p.values[sel].max() <= (2 * np.pi / 5) * L**3 * eps**2 * 1.1
 
 
+def levels_and_averages(m, scales=(0.25, 0.125)):
+    """The levels of ``m`` at ``scales`` and their cubic averages."""
+    return ([mollified_level(m, eps) for eps in scales],
+            [cubic_difference_average(m, eps) for eps in scales])
+
+
 def test_pointwise_bound_vortex_and_constant():
     g = centered_grid(128, 2.0)
     m = build_field(VortexSpec(), g)
     rep = pointwise_bound_check(
-        m, jin_kohn_circle(1), jin_kohn(1), [0.25, 0.125], annulus(g, 0.45, 0.7), bound=10.0
+        *levels_and_averages(m), jin_kohn_circle(1), jin_kohn(1), annulus(g, 0.45, 0.7),
+        bound=10.0,
     )
     assert rep.passed
     mc = build_field(ConstantSpec(0.2), g)
     repc = pointwise_bound_check(
-        mc, jin_kohn_circle(1), jin_kohn(1), [0.25, 0.125],
+        *levels_and_averages(mc), jin_kohn_circle(1), jin_kohn(1),
         g.rect_mask(-0.5, 0.5, -0.5, 0.5), bound=10.0,
     )
     assert repc.passed  # 0/0 guarded by the floor (rounding over floor stays O(1))
@@ -176,7 +197,8 @@ def test_pointwise_bound_requires_entropy():
     m = build_field(ConstantSpec(0.2), g)
     bad = EntropyMap(CircleFunction.cosine(1), CircleFunction.zero())
     with pytest.raises(ValueError, match="entropy"):
-        pointwise_bound_check(m, bad, jin_kohn(1), [0.25], g.rect_mask(-0.5, 0.5, -0.5, 0.5), 10.0)
+        pointwise_bound_check(*levels_and_averages(m, (0.25,)), bad, jin_kohn(1),
+                              g.rect_mask(-0.5, 0.5, -0.5, 0.5), 10.0)
 
 
 def test_jump_sigma_bound_pointwise():
@@ -242,7 +264,8 @@ def test_jump_mass_matches_flux_difference():
     mp, mm = spec.traces()
     expected = float(spec.unit_normal() @ (jin_kohn(1).value(mp[None])[0] - jin_kohn(1).value(mm[None])[0]))
     strip = g.rect_mask(-0.6, 0.6, yrow - 0.4, yrow + 0.4)
-    rep = jump_production_mass(m, jin_kohn(1), [0.25, 0.125], expected, strip)
+    levels = [mollified_level(m, eps) for eps in (0.25, 0.125)]
+    rep = jump_production_mass(levels, jin_kohn(1), expected, strip)
     assert rep.rel_errors[-1] < 0.02
     # the cubic jump-cost formula gives the same number: J^3/6 for these traces
     assert expected == pytest.approx(float(np.linalg.norm(mp - mm)) ** 3 / 6.0)
@@ -289,7 +312,7 @@ def test_pointwise_bound_jump_ladder():
     g = centered_grid(192, 2.0)
     m = build_field(JumpSpec(), g)
     rep = pointwise_bound_check(
-        m, jin_kohn_circle(1), jin_kohn(1), [0.25, 0.125],
+        *levels_and_averages(m), jin_kohn_circle(1), jin_kohn(1),
         g.rect_mask(-0.5, 0.5, -0.5, 0.5), bound=10.0,
     )
     # both sides scale like 1/eps on the strip: the ratio is ladder-stable
