@@ -92,6 +92,7 @@ from .regularity import (
 from .factorization import (
     FactorizationReport,
     factor_coefficient,
+    generated_productions,
     pairing_consistency_gap,
     rotated_productions,
     vanishing_production_check,

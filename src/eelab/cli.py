@@ -472,7 +472,8 @@ def check_factorize(cfg: ExperimentConfig, ladder: list[Level],
         details["expected"] = "persistent production mass (negative control)"
     else:
         ok = rep.vanishes
-        frep = verify_factorization(ladder, fs[-1][1], cfg.p, region_of)
+        frep = verify_factorization(ladder, fs[-1][1], cfg.p, region_of,
+                                    rep.productions[-1])
         details["factorization"] = frep.to_json()
         rows += [["residual", e, v] for e, v in zip(frep.eps_ladder, frep.residual_norms)]
         if frep.residual_norms[0] > 1e-13:

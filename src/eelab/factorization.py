@@ -15,6 +15,7 @@ production is known to test against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +78,18 @@ def _reject_dead_zone(lv: Level, region: BoolArray) -> None:
         raise ValueError("subdomain contains extension dead-zone cells (|m_eps| < 1/2)")
 
 
+def generated_productions(ladder: list[Level], f: CircleFunction) -> list[ScalarField]:
+    """div Phi_f(m_eps) on every level, Phi_f the radial extension of the entropy f generates."""
+    phi = radial_extension(generated_entropy(f))
+    return [div_entropy(lv.v, phi) for lv in ladder]
+
+
 def verify_factorization(
     ladder: list[Level],
     f: CircleFunction,
     p: float,
     region_of,
+    lhss: Sequence[ScalarField],
 ) -> FactorizationReport:
     """Ladder comparison of div Phi_f(m_eps) with its factorized form.
 
@@ -89,14 +97,14 @@ def verify_factorization(
     while the grid refines.  ``region_of`` maps a grid to the subdomain mask.
     Cells of the subdomain falling in the extension dead zone (|m_eps| < 1/2)
     are rejected; for rigid test fields both sides decay together.
+    ``lhss`` holds the productions ``generated_productions(ladder, f)``, one
+    per level.
     """
-    phi = radial_extension(generated_entropy(f))
     lhs_norms, rhs_norms, res_norms = [], [], []
-    for lv in ladder:
+    for lv, lhs in zip(ladder, lhss, strict=True):
         grid = lv.m.grid
         region = region_of(grid)
         _reject_dead_zone(lv, region)
-        lhs = div_entropy(lv.v, phi)
         s1, s2 = lv.div_sigma
         rot, _ = rotated_productions(lv.theta.values, s1, s2)
         rhs = factor_coefficient(f, lv.theta.values) * rot
@@ -166,6 +174,7 @@ class VanishingProductionReport:
     rates: tuple[float, ...]
     vanishes: bool
     flagged_negative_control: bool
+    productions: tuple[tuple[ScalarField, ...], ...]  # per label, per eps: div Phi_f(m_eps)
 
 
 def vanishing_production_check(
@@ -180,22 +189,23 @@ def vanishing_production_check(
     productions vanish in the limit, every production and the factorized
     measure total variation must decay with empirical rate >= the threshold;
     fields with persistent production mass are flagged as the expected
-    negative control.
+    negative control.  The report keeps the productions, so that
+    ``verify_factorization`` can reuse them.
     """
+    productions = [generated_productions(ladder, f) for _, f in fs]
     eps_ladder = [lv.eps for lv in ladder]
     nu_masses = []
     rows: list[list[float]] = [[] for _ in fs]
-    for lv in ladder:
+    for k, lv in enumerate(ladder):
         grid = lv.m.grid
         region = region_of(grid)
         sigma = factorized_measure(lv.theta, lv.div_sigma)
         where = combine_masks(lv.div_sigma[0].effective_mask(), region)
         nu_masses.append(lp_norm(sigma.nu().values, grid, 1, where))
-        for i, (_, f) in enumerate(fs):
-            ext = radial_extension(generated_entropy(f))
-            d = div_entropy(lv.v, ext)
+        for row, prods in zip(rows, productions):
+            d = prods[k]
             where_d = combine_masks(d.effective_mask(), region)
-            rows[i].append(lp_norm(np.abs(d.values), grid, 1, where_d))
+            row.append(lp_norm(np.abs(d.values), grid, 1, where_d))
     le = np.log(eps_ladder)
     rates = []
     for row in rows + [nu_masses]:
@@ -216,6 +226,7 @@ def vanishing_production_check(
         rates=tuple(rates),
         vanishes=vanishes,
         flagged_negative_control=flagged,
+        productions=tuple(tuple(prods) for prods in productions),
     )
 
 

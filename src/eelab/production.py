@@ -74,11 +74,26 @@ def div_sigma_closed(v: VecField) -> tuple[ScalarField, ScalarField]:
     )
 
 
+def _changing_lines(uniform: BoolArray, first: FloatArray, at: slice, to: slice) -> slice | None:
+    """Span of the line pairs (at, to) other than two uniform lines of equal value, or None."""
+    live = np.flatnonzero(~(uniform[at] & uniform[to] & np.all(first[at] == first[to], axis=-1)))
+    return slice(live[0], live[-1] + 1) if live.size else None
+
+
 def cubic_difference_average(m: AngleField, eps: float) -> ScalarField:
     """eps^{-3} int_{B_eps} |m(x+z) - m(x)|^3 dz by midpoint quadrature.
 
     Cell offsets with |z| < eps inside the disk; evaluation is restricted to
     the eps-interior so every sampled point stays in the domain.
+
+    Exact zeros are skipped: for each offset, a row pair (i, i + oy) of
+    uniform rows with equal values, or such a column pair (j, j + ox), has
+    D^z m = 0 in every cell, so only the row/column bounding box of the other
+    pairs is summed (nothing when it is empty).  That leaves every bit of the
+    result as the full sum has it: the accumulator starts at +0.0, a skipped
+    term is hypot(+-0, +-0)**3 = +0.0 and every term is >= +0.0, so adding
+    it changes nothing, and theta is finite (AngleField rejects anything
+    else), so no NaN is skipped.
     """
     grid = m.grid
     h = grid.spacing
@@ -86,14 +101,24 @@ def cubic_difference_average(m: AngleField, eps: float) -> ScalarField:
         raise ValueError(f"scale {eps} under-resolved: need eps >= 2 spacing = {2*h}")
     radius = int(np.ceil(eps / h))
     vec = m.unit_vectors().values
+    # a line is uniform when every cell equals its first, in both components
+    rows = np.all(vec == vec[:, :1], axis=(1, 2)), vec[:, 0]
+    cols = np.all(vec == vec[:1], axis=(0, 2)), vec[0]
+    spans = {}  # offset o -> (row span for oy = o, column span for ox = o)
+    for o in range(-radius, radius + 1):
+        (ya, xa), (yt, xt) = _overlap(grid, o, o)
+        spans[o] = _changing_lines(*rows, ya, yt), _changing_lines(*cols, xa, xt)
     acc = np.zeros((grid.ny, grid.nx))
     for oy in range(-radius, radius + 1):
         for ox in range(-radius, radius + 1):
             if (ox == 0 and oy == 0) or (ox * h) ** 2 + (oy * h) ** 2 >= eps**2:
                 continue
+            box = spans[oy][0], spans[ox][1]
+            if None in box:
+                continue
             at, to = _overlap(grid, ox, oy)
-            d = vec[to] - vec[at]
-            acc[at] += np.hypot(d[..., 0], d[..., 1]) ** 3
+            d = vec[to][box] - vec[at][box]
+            acc[at][box] += np.hypot(d[..., 0], d[..., 1]) ** 3
     mask = grid.interior_mask(eps)
     return ScalarField(grid, acc * h * h / eps**3, mask=mask)
 

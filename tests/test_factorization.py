@@ -6,6 +6,7 @@ import pytest
 from eelab.circle import CircleFunction
 from eelab.factorization import (
     factor_coefficient,
+    generated_productions,
     pairing_consistency_gap,
     rotated_productions,
     vanishing_production_check,
@@ -73,15 +74,15 @@ def test_rotated_productions_are_isometric():
 
 def test_verify_factorization_vortex_decays():
     f = CircleFunction.random_real(6, np.random.default_rng(1))
-    rep = verify_factorization(vortex_ladder(), f, 7 / 6, annulus)
+    lad = vortex_ladder()
+    rep = verify_factorization(lad, f, 7 / 6, annulus, generated_productions(lad, f))
     assert rep.lhs_norms[-1] < 0.15 * rep.lhs_norms[0]
     assert rep.residual_norms[-1] < 0.15 * rep.residual_norms[0]
 
 
 def test_verify_factorization_trivial_generator():
-    rep = verify_factorization(
-        vortex_ladder(((64, 0.16),)), CircleFunction.constant(2.0), 7 / 6, annulus
-    )
+    lad, f = vortex_ladder(((64, 0.16),)), CircleFunction.constant(2.0)
+    rep = verify_factorization(lad, f, 7 / 6, annulus, generated_productions(lad, f))
     assert max(rep.lhs_norms) < 1e-12
     assert max(rep.residual_norms) < 1e-12
 
@@ -90,9 +91,10 @@ def test_verify_factorization_dead_zone_rejected():
     # a jump field mollified at scale ~ box size has |m_eps| < 1/2 on the line
     g = centered_grid(64, 2.0)
     m = build_field(JumpSpec(theta_plus=np.pi / 2, theta_minus=3 * np.pi / 2, normal=(1.0, 0.0)), g)
+    lad, f = [mollified_level(m, 0.25)], CircleFunction.cosine(2)
     with pytest.raises(ValueError, match="dead-zone"):
-        verify_factorization([mollified_level(m, 0.25)], CircleFunction.cosine(2), 1.0,
-                             lambda grid: grid.rect_mask(-0.4, 0.4, -0.4, 0.4))
+        verify_factorization(lad, f, 1.0, lambda grid: grid.rect_mask(-0.4, 0.4, -0.4, 0.4),
+                             generated_productions(lad, f))
 
 
 def test_verify_harmonic_decomposition_modes_and_vortex():
@@ -199,7 +201,8 @@ def test_rotation_covariance_of_residuals():
     spec_rot = JumpSpec(normal=(-1.0, 0.0), theta_plus=JumpSpec().theta_plus + c,
                         theta_minus=JumpSpec().theta_minus + c)
     m_rot = build_field(spec_rot, g)
-    base = verify_factorization([mollified_level(m, 0.125)], f, 1.0, box).residual_norms[0]
-    rotated = verify_factorization([mollified_level(m_rot, 0.125)], f.shift(-c), 1.0,
-                                   box).residual_norms[0]
+    lad, lad_rot, f_rot = [mollified_level(m, 0.125)], [mollified_level(m_rot, 0.125)], f.shift(-c)
+    base = verify_factorization(lad, f, 1.0, box, generated_productions(lad, f)).residual_norms[0]
+    rotated = verify_factorization(lad_rot, f_rot, 1.0, box,
+                                   generated_productions(lad_rot, f_rot)).residual_norms[0]
     assert rotated == pytest.approx(base, rel=1e-12)
