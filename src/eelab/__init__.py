@@ -9,29 +9,25 @@ wherever an identity is claimed.
 
 __version__ = "0.1.0"
 
-from .circle import CircleFunction, circle_from_samples
+from .circle import CircleFunction
 from .entropy import (
     DiskHarmonic,
     EntropyMap,
     ExtendedEntropy,
     RadialCutoff,
     a_coefficients,
-    b_coefficients,
     ent_residual,
     generated_entropy,
     generated_entropy_closed_form,
     generator_harmonic_potential,
     harmonic_entropy,
-    harmonic_extension,
     jin_kohn,
     jin_kohn_circle,
-    linear_entropy,
     multiplier,
     multiplier_differential,
     potential_linear_term,
     q_coefficients,
     radial_extension,
-    radial_psi_gamma,
 )
 from .grids import (
     AngleField,
@@ -48,18 +44,16 @@ from .grids import (
     lp_norm,
     mollify,
     read_field,
-    shift_diff,
     write_field,
 )
 from .kinetic import (
     JumpLineMeasure,
-    KineticLattice,
     KineticMeasure,
     SpaceTimeTestFunction,
     factorized_measure,
-    indicator_lattice,
     kinetic_residual,
     pair_measure,
+    rotated_production,
     theta_of_vec,
 )
 from .production import (
@@ -68,12 +62,10 @@ from .production import (
     cubic_difference_average,
     div_entropy,
     div_sigma_closed,
-    harmonic_production_identity,
     jump_production_mass,
     mollified_level,
     pointwise_bound_check,
     production_ladder,
-    refinement_order,
 )
 from .regularity import (
     BesovReport,
@@ -85,7 +77,6 @@ from .regularity import (
     interaction_functional,
     interaction_identity_check,
     make_interaction_weight,
-    substitution_form,
     symmetric_interaction_closed_form,
     symmetric_pair_interaction,
 )
@@ -94,8 +85,6 @@ from .factorization import (
     factor_coefficient,
     generated_productions,
     pairing_consistency_gap,
-    rotated_productions,
     vanishing_production_check,
     verify_factorization,
-    verify_harmonic_decomposition,
 )

@@ -2,7 +2,7 @@
 
 A CircleFunction stores complex Fourier coefficients c_k for |k| <= band and
 represents t -> sum_k c_k e^{ikt}.  Every operation needed downstream
-(derivative, antiderivative, products, shifts, inner products) is exact
+(derivative, antiderivative, products, shifts) is exact
 coefficient arithmetic; pointwise sampling only ever appears as a separate
 oracle path in the tests.
 """
@@ -74,10 +74,10 @@ class CircleFunction:
         return CircleFunction.from_modes({k: amplitude / 2j, -k: -amplitude / 2j})
 
     @staticmethod
-    def random_real(band: int, rng: np.random.Generator, scale: float = 1.0) -> "CircleFunction":
+    def random_real(band: int, rng: np.random.Generator) -> "CircleFunction":
         """Random real-valued trigonometric polynomial of the given band."""
-        a = rng.standard_normal(band + 1) * scale
-        b = rng.standard_normal(band + 1) * scale
+        a = rng.standard_normal(band + 1)
+        b = rng.standard_normal(band + 1)
         f = CircleFunction.constant(a[0])
         for k in range(1, band + 1):
             f = f + CircleFunction.cosine(k, a[k]) + CircleFunction.sine(k, b[k])
@@ -168,13 +168,6 @@ class CircleFunction:
                 c[k + self.band] = 0.0
         return CircleFunction(c)
 
-    def inner(self, other: "CircleFunction") -> complex:
-        """<f, g> = (1/2pi) int f g dt (bilinear, no conjugation)."""
-        tot = 0.0 + 0.0j
-        for k in range(-self.band, self.band + 1):
-            tot += self.coeff(k) * other.coeff(-k)
-        return tot
-
     # ---------------- arithmetic ----------------
 
     def __add__(self, other: "CircleFunction") -> "CircleFunction":
@@ -210,24 +203,3 @@ class CircleFunction:
             "im": [float(x) for x in self.coeffs.imag],
             "kind": "circle-function",
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "CircleFunction":
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        return CircleFunction(re + 1j * im)
-
-
-def circle_from_samples(values: np.ndarray) -> CircleFunction:
-    """Recover coefficients from equispaced samples f(2pi j / N).
-
-    Exact for band-limited f with 2*band < N.
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    n = values.size
-    hat = np.fft.fft(values) / n
-    band = (n - 1) // 2
-    c = np.zeros(2 * band + 1, dtype=np.complex128)
-    for k in range(-band, band + 1):
-        c[k + band] = hat[k % n]
-    return CircleFunction(c)

@@ -29,6 +29,7 @@ from . import __version__
 from .bumps import RadialBump, TensorBump
 from .circle import CircleFunction
 from .entropy import (
+    CUTOFF_PROFILE,
     a_coefficients,
     ent_residual,
     generated_entropy,
@@ -48,11 +49,11 @@ from .factorization import (
     verify_factorization,
 )
 from .grids import (
+    MOLLIFIER_PROFILE,
     ConstantSpec,
     FieldSpec,
     Grid2,
     JumpSpec,
-    Mollifier,
     ScalarField,
     build_field,
     centered_grid,
@@ -583,8 +584,8 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
         "meta": {
             "package": "eelab",
             "version": __version__,
-            "mollifier": Mollifier(1.0).profile_name,
-            "cutoff": "smoothstep-quintic",
+            "mollifier": MOLLIFIER_PROFILE,
+            "cutoff": CUTOFF_PROFILE,
         },
     }
     text = json_dumps(bundle)

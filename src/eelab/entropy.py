@@ -9,9 +9,8 @@ builds the concrete families used throughout the package:
   projected generator, then a quarter-turn difference),
 * harmonic entropies Phi^phi(z) = phi(z) z + ((iz).grad phi)(iz) for
   harmonic phi on the closed unit disk, together with the coefficient
-  fields Q_j, B, A_j entering the production decomposition,
-* radial cutoff extensions eta(|z|) Phi(z/|z|) with the derived fields
-  Psi and gamma.
+  fields Q_j, A_j entering the production decomposition,
+* radial cutoff extensions eta(|z|) Phi(z/|z|).
 
 All circle-side calculus is exact coefficient arithmetic on
 :class:`~eelab.circle.CircleFunction`; disk-side evaluation uses closed-form
@@ -288,17 +287,6 @@ class DiskHarmonic:
         return np.real(self.value(z))
 
 
-def harmonic_extension(psi: CircleFunction) -> DiskHarmonic:
-    """Extend a circle function into the disk, mode k -> r^{|k|} e^{ik theta}."""
-    pos = np.zeros(psi.band + 1, dtype=np.complex128)
-    neg = np.zeros(psi.band, dtype=np.complex128)
-    for k in range(psi.band + 1):
-        pos[k] = psi.coeff(k)
-    for k in range(1, psi.band + 1):
-        neg[k - 1] = psi.coeff(-k)
-    return DiskHarmonic(pos, neg)
-
-
 def generator_harmonic_potential(f: CircleFunction) -> DiskHarmonic:
     """Harmonic potential whose harmonic entropy extends the generated entropy.
 
@@ -340,15 +328,6 @@ def q_coefficients(phi: DiskHarmonic, z: np.ndarray) -> tuple[np.ndarray, np.nda
     return q1, q2
 
 
-def b_coefficients(phi: DiskHarmonic, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flux pair B = (B_1, B_2) multiplying (1 - |z|^2) in the decomposition."""
-    z = np.asarray(z, dtype=np.complex128)
-    x, y = z.real, z.imag
-    b1 = _pt(phi, 1, 0, z) - 0.5 * x * _pt(phi, 0, 2, z) + 0.5 * y * _pt(phi, 1, 1, z)
-    b2 = _pt(phi, 0, 1, z) - 0.5 * y * _pt(phi, 2, 0, z) + 0.5 * x * _pt(phi, 1, 1, z)
-    return b1, b2
-
-
 def a_coefficients(phi: DiskHarmonic, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rotated coefficients A_1 = e^{i2t}.Q, A_2 = ie^{i2t}.Q at points z."""
     z = np.asarray(z, dtype=np.complex128)
@@ -385,15 +364,16 @@ def multiplier_differential(psi: CircleFunction) -> CircleFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+#: the radial cutoff's name, recorded in every result bundle
+CUTOFF_PROFILE = "smoothstep-quintic"
+
+
 class RadialCutoff:
     """Smooth radial profile eta with support [1/2, 2] and eta(1) = 1.
 
-    The default is a quintic smoothstep ramp on each side, which is C^2 and
-    flat at 1/2, 1 and 2.
+    A quintic smoothstep ramp on each side (``CUTOFF_PROFILE``), which is C^2
+    and flat at 1/2, 1 and 2.
     """
-
-    name: str = "smoothstep-quintic"
 
     @staticmethod
     def _step(x: np.ndarray) -> np.ndarray:
@@ -417,13 +397,6 @@ class RadialCutoff:
         rising = 2.0 * self._step_d((r - 0.5) * 2.0)
         falling = -self._step_d(2.0 - r)
         return np.where(r <= 1.0, rising, falling)
-
-    def validate(self) -> None:
-        r = np.array([0.0, 0.25, 0.5, 2.0, 2.5, 10.0])
-        if np.max(np.abs(self(r))) > 1e-14:
-            raise ValueError("cutoff must vanish on [0,1/2] and [2,inf)")
-        if abs(float(self(1.0)) - 1.0) > 1e-14:
-            raise ValueError("cutoff must equal 1 at r = 1")
 
 
 class ExtendedEntropy:
@@ -472,25 +445,9 @@ def jin_kohn(j: Literal[1, 2]) -> ExtendedEntropy:
     raise ValueError("j must be 1 or 2")
 
 
-def linear_entropy() -> ExtendedEntropy:
-    """The map z -> z; produces exactly the divergence of the field."""
-
-    def val(v: FloatArray) -> FloatArray:
-        return v.copy()
-
-    def jac(v: FloatArray) -> FloatArray:
-        j = np.zeros(v.shape[:-1] + (2, 2))
-        j[..., 0, 0] = 1.0
-        j[..., 1, 1] = 1.0
-        return j
-
-    return ExtendedEntropy("closed-form", val, jac)
-
-
-def radial_extension(phi: EntropyMap, cutoff: RadialCutoff | None = None) -> ExtendedEntropy:
+def radial_extension(phi: EntropyMap) -> ExtendedEntropy:
     """Extension eta(|z|) Phi(z/|z|), supported on the annulus 1/2 <= |z| <= 2."""
-    eta = cutoff if cutoff is not None else RadialCutoff()
-    eta.validate()
+    eta = RadialCutoff()
     f1, f2 = phi.comp1, phi.comp2
     d1, d2 = f1.derivative(), f2.derivative()
 
@@ -519,27 +476,6 @@ def radial_extension(phi: EntropyMap, cutoff: RadialCutoff | None = None) -> Ext
         return np.where((r > 0)[..., None, None], out, 0.0)
 
     return ExtendedEntropy("radial", val, jac)
-
-
-def radial_psi_gamma(ext: ExtendedEntropy, v: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """The derived fields of the radial extension,
-
-        gamma(z) = (z_perp . D Phi~(z) z_perp) / |z|^2,
-        Psi(z)   = (-D Phi~(z) z + gamma(z) z) / (2 |z|^2).
-
-    Only meaningful away from z = 0.
-    """
-    if ext.kind != "radial":
-        raise ValueError("psi/gamma are defined for radial extensions only")
-    v = np.asarray(v, dtype=float)
-    jacs = ext.jacobian(v)
-    r2 = np.maximum(v[..., 0] ** 2 + v[..., 1] ** 2, 1e-300)
-    zperp = np.stack([-v[..., 1], v[..., 0]], axis=-1)
-    jz = np.einsum("...ij,...j->...i", jacs, v)
-    jzp = np.einsum("...ij,...j->...i", jacs, zperp)
-    gamma = np.einsum("...i,...i->...", zperp, jzp) / r2
-    psi = (-jz + gamma[..., None] * v) / (2 * r2[..., None])
-    return psi, gamma
 
 
 def harmonic_entropy(phi: DiskHarmonic) -> ExtendedEntropy:

@@ -22,15 +22,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .circle import CircleFunction
-from .entropy import (
-    generated_entropy,
-    harmonic_entropy,
-    harmonic_extension,
-    multiplier,
-    radial_extension,
-)
+from .entropy import generated_entropy, radial_extension
 from .grids import BoolArray, ScalarField, combine_masks, lp_norm
-from .kinetic import KineticMeasure, factorized_measure, pair_measure
+from .kinetic import KineticMeasure, factorized_measure, pair_measure, rotated_production
 from .production import Level, div_entropy
 
 FloatArray = NDArray[np.float64]
@@ -43,14 +37,6 @@ def factor_coefficient(f: CircleFunction, theta) -> FloatArray:
         0.5 * (f.real_values(theta + np.pi / 2) + f.real_values(theta - np.pi / 2))
         - float(np.real(f.mean))
     )
-
-
-def rotated_productions(
-    theta: FloatArray, div1: ScalarField, div2: ScalarField
-) -> tuple[FloatArray, FloatArray]:
-    """e^{i2th}.divS and ie^{i2th}.divS from the two production components."""
-    c, s = np.cos(2 * theta), np.sin(2 * theta)
-    return c * div1.values + s * div2.values, -s * div1.values + c * div2.values
 
 
 @dataclass(frozen=True)
@@ -105,10 +91,9 @@ def verify_factorization(
         grid = lv.m.grid
         region = region_of(grid)
         _reject_dead_zone(lv, region)
-        s1, s2 = lv.div_sigma
-        rot, _ = rotated_productions(lv.theta.values, s1, s2)
+        rot = rotated_production(lv.theta.values, lv.div_sigma)
         rhs = factor_coefficient(f, lv.theta.values) * rot
-        where = combine_masks(lhs.effective_mask(), s1.effective_mask(), region)
+        where = combine_masks(lhs.effective_mask(), lv.div_sigma[0].effective_mask(), region)
         lhs_norms.append(lp_norm(lhs.values, grid, p, where))
         rhs_norms.append(lp_norm(rhs, grid, p, where))
         res_norms.append(lp_norm(lhs.values - rhs, grid, p, where))
@@ -119,49 +104,6 @@ def verify_factorization(
         residual_norms=tuple(res_norms),
         p=p,
         label="factorization",
-    )
-
-
-@dataclass(frozen=True)
-class HarmonicDecompositionReport:
-    eps: float
-    lhs_norm: float
-    first_term_norm: float
-    second_term_norm: float
-    residual_norm: float
-    p: float
-
-
-def verify_harmonic_decomposition(
-    psi: CircleFunction,
-    lv: Level,
-    p: float,
-    region: BoolArray,
-) -> HarmonicDecompositionReport:
-    """Fields of the harmonic-entropy production decomposition at one scale.
-
-    Computes div Phi^{E psi}(m_eps), the first-multiplier term against
-    e^{i2th}.divS, and the second-multiplier term against ie^{i2th}.divS
-    (the term that drops out in the limit for solutions), and the residual
-    of the full two-term identity.
-    """
-    _reject_dead_zone(lv, region)
-    lhs = div_entropy(lv.v, harmonic_entropy(harmonic_extension(psi)))
-    s1, s2 = lv.div_sigma
-    rot, rot_perp = rotated_productions(lv.theta.values, s1, s2)
-    a1 = multiplier(1, psi)
-    a2 = multiplier(2, psi)
-    t1 = a1.real_values(lv.theta.values) * rot
-    t2 = a2.real_values(lv.theta.values) * rot_perp
-    where = combine_masks(lhs.effective_mask(), s1.effective_mask(), region)
-    grid = lv.m.grid
-    return HarmonicDecompositionReport(
-        eps=lv.eps,
-        lhs_norm=lp_norm(lhs.values, grid, p, where),
-        first_term_norm=lp_norm(t1, grid, p, where),
-        second_term_norm=lp_norm(t2, grid, p, where),
-        residual_norm=lp_norm(lhs.values - t1 - t2, grid, p, where),
-        p=p,
     )
 
 

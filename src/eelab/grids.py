@@ -298,12 +298,15 @@ def _bump_profile(r: FloatArray) -> FloatArray:
     return out
 
 
+#: the mollifier profile's name, recorded in every result bundle
+MOLLIFIER_PROFILE = "bump-exp"
+
+
 @dataclass(frozen=True)
 class Mollifier:
-    """Radial C-infinity bump of unit mass, scaled to radius eps."""
+    """Radial C-infinity bump of unit mass (``MOLLIFIER_PROFILE``), scaled to radius eps."""
 
     eps: float
-    profile_name: str = "bump-exp"
 
     def __post_init__(self) -> None:
         if not (self.eps > 0):
@@ -312,12 +315,6 @@ class Mollifier:
     def _normalization(self) -> float:
         mass, _ = quad(lambda r: _bump_profile(np.array(r)) * r, 0.0, 1.0, limit=200)
         return 1.0 / (TWO_PI * mass)
-
-    def quadrature_mass(self, n: int = 2000) -> float:
-        """Recompute the total integral of the scaled kernel by quadrature."""
-        c = self._normalization()
-        mass, _ = quad(lambda r: c * _bump_profile(np.array(r)) * r * TWO_PI, 0.0, 1.0, limit=400)
-        return float(mass)
 
     def discrete_weights(self, spacing: float) -> FloatArray:
         """Kernel sampled on lattice offsets, renormalized to unit discrete mass.
@@ -352,12 +349,6 @@ def mollify(m: AngleField, kernel: Mollifier) -> VecField:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_offset(grid: Grid2, z: tuple[float, float]) -> tuple[int, int]:
-    ox = int(np.round(z[0] / grid.spacing))
-    oy = int(np.round(z[1] / grid.spacing))
-    return ox, oy
-
-
 def _overlap(grid: Grid2, ox: int, oy: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
     """Index pairs (at, to) of the cells x and x + (ox, oy) where both lie in the grid.
 
@@ -369,20 +360,6 @@ def _overlap(grid: Grid2, ox: int, oy: int) -> tuple[tuple[slice, slice], tuple[
     at = (slice(y0, y0 + ky), slice(x0, x0 + kx))
     to = (slice(y0 + oy, y0 + oy + ky), slice(x0 + ox, x0 + ox + kx))
     return at, to
-
-
-def shift_diff(fld: AngleField | VecField | ScalarField, z: tuple[float, float]):
-    """D^z f(x) = f(x+z) - f(x) where both points lie in the domain, 0 otherwise.
-
-    Displacements are rounded to the nearest lattice offset.  Angle fields are
-    differenced on the embedded unit vectors, never on raw angles.
-    """
-    if isinstance(fld, AngleField):
-        fld = fld.unit_vectors()
-    at, to = _overlap(fld.grid, *_lattice_offset(fld.grid, z))
-    out = np.zeros_like(fld.values)
-    out[at] = fld.values[to] - fld.values[at]
-    return type(fld)(fld.grid, out, mask=fld.mask)
 
 
 def central_partials(values: FloatArray, spacing: float) -> tuple[FloatArray, FloatArray]:

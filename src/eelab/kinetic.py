@@ -38,50 +38,19 @@ TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
-# angles and the indicator lattice
+# angles and arc pairings
 # ---------------------------------------------------------------------------
 
 
-def theta_of_vec(v: VecField, dead_radius: float = 0.5) -> tuple[ScalarField, BoolArray]:
+def theta_of_vec(v: VecField) -> tuple[ScalarField, BoolArray]:
     """Angle of a vector field with range normalization.
 
     Returns the angle field and the mask of live cells; cells with
-    |v| < dead_radius sit in the extension dead zone and are flagged off.
+    |v| < 1/2 sit in the extension dead zone and are flagged off.
     """
     ang = np.mod(np.arctan2(v.values[..., 1], v.values[..., 0]), TWO_PI)
-    live = v.magnitude() >= dead_radius
+    live = v.magnitude() >= 0.5
     return ScalarField(v.grid, ang, mask=combine_masks(v.mask, live)), live
-
-
-@dataclass(frozen=True)
-class KineticLattice:
-    """chi sampled at s-cell centers s_j = (j + 1/2) 2pi/ns."""
-
-    grid: Grid2
-    theta: FloatArray
-    ns: int
-    chi: NDArray[np.bool_]
-
-    def s_centers(self) -> FloatArray:
-        return (np.arange(self.ns) + 0.5) * TWO_PI / self.ns
-
-    def s_integral(self) -> FloatArray:
-        """int chi(x, s) ds per cell (equals pi for generic angles, even ns)."""
-        return self.chi.sum(axis=-1) * (TWO_PI / self.ns)
-
-
-def indicator_lattice(m: AngleField, ns: int) -> KineticLattice:
-    if ns < 64:
-        raise ValueError(f"need ns >= 64 s-cells, got {ns}")
-    s = (np.arange(ns) + 0.5) * TWO_PI / ns
-    chi = np.cos(s[None, None, :] - m.theta[..., None]) > 0.0
-    return KineticLattice(grid=m.grid, theta=m.theta.copy(), ns=ns, chi=chi)
-
-
-def lattice_pairing(lattice: KineticLattice, q: CircleFunction) -> FloatArray:
-    """Per-cell Riemann sum of chi against q over the s-grid (O(1/ns) accurate)."""
-    qs = q.real_values(lattice.s_centers())
-    return lattice.chi @ qs * (TWO_PI / lattice.ns)
 
 
 def arc_integral(q: CircleFunction, lo: FloatArray, hi: FloatArray) -> FloatArray:
@@ -109,19 +78,14 @@ class ChiDifferenceReport:
     n_pairs: int
 
 
-def chi_difference_bound(
-    m: AngleField, q: CircleFunction, rng: np.random.Generator, n_pairs: int = 256
-) -> ChiDifferenceReport:
+def chi_difference_bound(m: AngleField, q: CircleFunction, rng: np.random.Generator) -> ChiDifferenceReport:
     """|int (chi(x0,.) - chi(x1,.)) q ds| <= C ||q||_inf |m(x0) - m(x1)|.
 
-    Samples random cell pairs and reports the worst ratio; the arc geometry
-    gives the explicit constant pi.
+    Samples 256 random cell pairs and reports the worst ratio; the arc
+    geometry gives the explicit constant pi.
     """
     ny, nx = m.grid.ny, m.grid.nx
-    i0 = rng.integers(0, nx, n_pairs)
-    j0 = rng.integers(0, ny, n_pairs)
-    i1 = rng.integers(0, nx, n_pairs)
-    j1 = rng.integers(0, ny, n_pairs)
+    i0, j0, i1, j1 = (rng.integers(0, k, 256) for k in (nx, ny, nx, ny))
     th0 = m.theta[j0, i0]
     th1 = m.theta[j1, i1]
     lhs = np.abs(chi_pairing(q, th0) - chi_pairing(q, th1))
@@ -161,9 +125,9 @@ class KineticMeasure:
             return np.ones((self.grid.ny, self.grid.nx), dtype=bool)
         return self.mask
 
-    def integrate(self, f: CircleFunction, ns: int = 256) -> FloatArray:
-        """int f dsigma_x per cell: exact atoms, lattice mean for the density."""
-        s = (np.arange(ns) + 0.5) * TWO_PI / ns
+    def integrate(self, f: CircleFunction) -> FloatArray:
+        """int f dsigma_x per cell: exact atoms, 256-point lattice mean for the density."""
+        s = (np.arange(256) + 0.5) * TWO_PI / 256
         lebesgue_mean = float(np.mean(f.real_values(s)))
         atoms = 0.5 * (
             f.real_values(self.theta + np.pi / 2) + f.real_values(self.theta - np.pi / 2)
@@ -171,17 +135,23 @@ class KineticMeasure:
         return (atoms - lebesgue_mean) * self.g
 
 
+def rotated_production(theta: FloatArray, div_sigma: tuple[ScalarField, ScalarField]) -> FloatArray:
+    """The rotated Jin-Kohn production g = e^{i 2 theta} . (divS1, divS2) per cell."""
+    s1, s2 = div_sigma
+    return np.cos(2 * theta) * s1.values + np.sin(2 * theta) * s2.values
+
+
 def factorized_measure(theta: ScalarField, div_sigma: tuple[ScalarField, ScalarField]) -> KineticMeasure:
     """Measure with density g = e^{i 2 theta} . (divS1, divS2) per cell."""
     s1, s2 = div_sigma
-    g = np.cos(2 * theta.values) * s1.values + np.sin(2 * theta.values) * s2.values
+    g = rotated_production(theta.values, div_sigma)
     mask = combine_masks(theta.mask, s1.mask, s2.mask)
     return KineticMeasure(grid=theta.grid, theta=theta.values.copy(), g=g, mask=mask)
 
 
-def pair_measure(sigma: KineticMeasure, f: CircleFunction, zeta: ScalarField, ns: int = 256) -> float:
+def pair_measure(sigma: KineticMeasure, f: CircleFunction, zeta: ScalarField) -> float:
     """sum over cells of (int f dsigma_x) zeta(x) cell-area."""
-    vals = sigma.integrate(f, ns=ns)
+    vals = sigma.integrate(f)
     where = combine_masks(sigma.mask, zeta.mask)
     if where is None:
         return float(np.sum(vals * zeta.values) * sigma.grid.cell_area())
@@ -298,14 +268,13 @@ def test_function_suite(
     n: int,
     center_box: float,
     width_range: tuple[float, float],
-    band: int = 6,
 ) -> list[SpaceTimeTestFunction]:
-    """Deterministic suite of tensor-bump x trig-polynomial test functions."""
+    """Deterministic suite of tensor-bump x band-6 trig-polynomial test functions."""
     suite = []
     for k in range(n):
         c = rng.uniform(-center_box, center_box, 2)
         wdt = rng.uniform(*width_range, 2)
-        q = CircleFunction.random_real(band, rng)
+        q = CircleFunction.random_real(6, rng)
         suite.append(
             SpaceTimeTestFunction(
                 bump=TensorBump(center=(float(c[0]), float(c[1])), halfwidth=(float(wdt[0]), float(wdt[1]))),

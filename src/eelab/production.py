@@ -3,11 +3,10 @@
 For a mollified field v = m * rho_eps the entropy production div Phi(v) is
 computed by central differences of the composite cell values.  The module
 also provides the closed forms of the two Jin-Kohn productions (valid for
-divergence-free smooth fields), the localized cubic difference average
-controlling all productions, and the decomposition identity of harmonic
-entropy productions into Jin-Kohn ones.  :func:`mollified_level` is the one
-place a field is mollified: the ladder functions here and in
-:mod:`eelab.factorization` take its :class:`Level` records, coarsest first.
+divergence-free smooth fields) and the localized cubic difference average
+controlling all productions.  :func:`mollified_level` is the one place a
+field is mollified: the ladder functions here and in :mod:`eelab.factorization`
+take its :class:`Level` records, coarsest first.
 """
 
 from __future__ import annotations
@@ -17,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .entropy import (
-    DiskHarmonic,
-    EntropyMap,
-    ExtendedEntropy,
-    b_coefficients,
-    ent_residual,
-    harmonic_entropy,
-    q_coefficients,
-)
+from .entropy import EntropyMap, ExtendedEntropy, ent_residual
 from .grids import (
     AngleField,
     BoolArray,
@@ -225,9 +216,8 @@ def pointwise_bound_check(
     ext: ExtendedEntropy,
     region: BoolArray,
     bound: float,
-    floor: float = 1e-14,
 ) -> PointwiseBoundReport:
-    """sup over cells of |div Phi(m_eps)| / (||Phi||_C2 P_eps + floor) along the ladder.
+    """sup over cells of |div Phi(m_eps)| / (||Phi||_C2 P_eps + 1e-14) along the ladder.
 
     The sup runs over cells where the lattice cubic average is positive; on a
     thin band at distance just below eps from a discontinuity the midpoint
@@ -254,7 +244,7 @@ def pointwise_bound_check(
         dead = where & (pm.values == 0)
         if np.any(live):
             num = np.abs(d.values[live])
-            den = c2 * pm.values[live] + floor
+            den = c2 * pm.values[live] + 1e-14
             ratios.append(float(np.max(num / den)))
             live_scale = float(np.max(num))
         else:
@@ -273,61 +263,6 @@ def pointwise_bound_check(
         bound=bound,
         passed=bool(sup <= bound and max(dead_fracs) <= 1e-4),
     )
-
-
-@dataclass(frozen=True)
-class DecompositionResidual:
-    spacing: float
-    l2_residual: float
-    l2_lhs: float
-
-
-def harmonic_production_identity(
-    v: VecField, phi: DiskHarmonic, region: BoolArray | None = None, div_tol: float | None = None
-) -> DecompositionResidual:
-    """Residual of the harmonic-entropy production decomposition at one grid.
-
-    For v mollified from a divergence-free unit field,
-
-        div Phi^phi(v) = Q1(v) divS1(v) + Q2(v) divS2(v) - div((1-|v|^2) B(v)),
-
-    where divS-j are the closed-form Jin-Kohn productions.  Both sides use
-    the same central-difference stencil; the L^2 residual over the subdomain
-    must converge at second order under grid refinement.
-    """
-    tol = div_tol if div_tol is not None else 10.0 * v.grid.spacing**2
-    dv = divergence(v)
-    where0 = combine_masks(dv.effective_mask(), region)
-    if float(np.max(np.abs(dv.values[where0]), initial=0.0)) > max(tol, 1e-8):
-        raise ValueError(
-            "input field is not divergence-free within tolerance "
-            f"(max |div| = {np.max(np.abs(dv.values[where0])):.3e})"
-        )
-    lhs = div_entropy(v, harmonic_entropy(phi))
-    s1, s2 = div_sigma_closed(v)
-    z = v.values[..., 0] + 1j * v.values[..., 1]
-    q1 = np.real(q_coefficients(phi, z)[0])
-    q2 = np.real(q_coefficients(phi, z)[1])
-    b1, b2 = b_coefficients(phi, z)
-    fac = 1.0 - (v.values[..., 0] ** 2 + v.values[..., 1] ** 2)
-    bfield = np.stack([fac * np.real(b1), fac * np.real(b2)], axis=-1)
-    rhs = q1 * s1.values + q2 * s2.values - divergence(VecField(v.grid, bfield)).values
-    where = combine_masks(lhs.effective_mask(), s1.effective_mask(), region)
-    resid = lp_norm(lhs.values - rhs, v.grid, 2, where)
-    return DecompositionResidual(
-        spacing=v.grid.spacing,
-        l2_residual=resid,
-        l2_lhs=lp_norm(lhs.values, v.grid, 2, where),
-    )
-
-
-def refinement_order(residuals: list[DecompositionResidual]) -> float:
-    """Least-squares convergence order across a refinement ladder."""
-    hs = np.array([r.spacing for r in residuals])
-    rs = np.array([r.l2_residual for r in residuals])
-    if np.any(rs <= 0):
-        return float("inf")
-    return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +325,19 @@ def cubic_average_besov_bound(
     inner: BoolArray,
     outer: BoolArray,
     h_ladder: list[float],
-    bound: float = 1.0,
-    pm: ScalarField | None = None,
+    pm: ScalarField,
 ) -> BoundedSequenceReport:
-    """Check ||P_eps||_{L^p(U)} <= bound * |m|^3_{B^{1/3}_{3p,inf}(U')}.
+    """Check ||P_eps||_{L^p(U)} <= |m|^3_{B^{1/3}_{3p,inf}(U')}, with ``pm`` the cubic
+    average P_eps of ``m``.
 
     U' must contain the eps-enlargement of U; the seminorm ladder should
     reach below eps so the right-hand side sees the scales P_eps samples.
-    A precomputed cubic average may be passed to amortize ladder scans.
     """
-    if pm is None:
-        pm = cubic_difference_average(m, eps)
     where = combine_masks(pm.effective_mask(), inner)
     lhs = lp_norm(pm.values, m.grid, p, where)
     rep = besov_seminorm(m, 1.0 / 3.0, 3.0 * p, h_ladder, outer)
     rhs = rep.seminorm**3
     ratio = lhs / rhs if rhs > 0 else float("inf")
     return BoundedSequenceReport(
-        p=p, eps=eps, lhs=lhs, rhs=rhs, ratio=ratio, passed=bool(lhs <= bound * rhs)
+        p=p, eps=eps, lhs=lhs, rhs=rhs, ratio=ratio, passed=bool(lhs <= rhs)
     )

@@ -29,7 +29,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 QUARTER = np.pi / 4.0
 
@@ -38,14 +37,6 @@ QUARTER = np.pi / 4.0
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
-
-
-@lru_cache(maxsize=64)
-def gauss_jacobi01(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights with int_0^1 y^alpha g(y) dy = sum w_i g(y_i)."""
-    x, w = roots_jacobi(n, 0.0, alpha)
-    y = 0.5 * (x + 1.0)
-    return y, w * 2.0 ** (-1.0 - alpha)
 
 
 #: geometric grading pieces per segment and Gauss nodes per piece
@@ -124,15 +115,14 @@ def _split_segments(ulo: np.ndarray, uhi: np.ndarray, extra: list[np.ndarray]):
     return pts[..., :-1], pts[..., 1:]
 
 
-def phi_weighted_integral(g, lo, hi, weight, n: int = 24, extra_breaks: list | None = None):
-    """int_lo^hi w_alpha(u) g(u) du, vectorized over lo/hi arrays.
+def phi_weighted_integral(g, lo, hi, weight):
+    """int_lo^hi w_alpha(u) g(u) du, vectorized over lo/hi arrays, 24 nodes per piece.
 
-    g must accept arrays; extra breakpoints (per-row arrays) may be supplied
-    for kinks of g.
+    g must accept arrays and be smooth on [lo, hi].
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
-    seg_lo, seg_hi = _split_segments(lo, hi, extra_breaks or [])
-    U, W = _segment_nodes(seg_lo, seg_hi, weight, n)
+    seg_lo, seg_hi = _split_segments(lo, hi, [])
+    U, W = _segment_nodes(seg_lo, seg_hi, weight, 24)
     return np.sum(W * g(U), axis=(-1, -2, -3))
 
 

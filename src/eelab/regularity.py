@@ -17,7 +17,6 @@ from numpy.typing import NDArray
 from .bumps import RadialBump, TensorBump
 from .grids import AngleField, BoolArray, Grid2, _overlap
 from .quadrature import (
-    gauss_jacobi01,
     gauss_legendre,
     interaction_pair_flux,
     interaction_pair_value,
@@ -244,18 +243,6 @@ def symmetric_interaction_closed_form(beta, weight: InteractionWeight) -> FloatA
         np.full_like(beta, np.pi / 2), weight,
     )
     return np.where(beta <= np.pi / 4, low, part1 + part2)
-
-
-def substitution_form(beta: float, weight: InteractionWeight) -> float:
-    """Independent small-angle oracle 8 (2b)^{2+a} int_0^1 v^a (1-v) sin(2bv) dv.
-
-    Valid for beta <= pi/8 where only the power branch is sampled.
-    """
-    if beta > np.pi / 8 + 1e-12:
-        raise ValueError("substitution form needs beta <= pi/8")
-    y, w = gauss_jacobi01(48, weight.alpha)
-    val = np.sum(w * (1 - y) * np.sin(2 * beta * y))
-    return float(8.0 * (2 * beta) ** (2 + weight.alpha) * val)
 
 
 def coercivity_profile(weight: InteractionWeight, betas: FloatArray) -> FloatArray:

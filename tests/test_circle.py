@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eelab.circle import CircleFunction, circle_from_samples
+from eelab.circle import CircleFunction
 
 
 def direct_sum(coeffs, band, t):
@@ -65,36 +65,11 @@ def test_product_is_pointwise():
     assert np.max(np.abs((f * g)(t) - f(t) * g(t))) < 1e-12
 
 
-def test_inner_product_against_quadrature():
-    rng = np.random.default_rng(4)
-    f = CircleFunction.random_real(5, rng)
-    g = CircleFunction.random_real(6, rng)
-    t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-    quad = np.mean(np.real(f(t)) * np.real(g(t)))
-    assert complex(f.inner(g)).real == pytest.approx(quad, abs=1e-12)
-
-
 def test_cos_sin_coefficients():
     f = CircleFunction.cosine(3, 1.4) + CircleFunction.sine(5, -0.3)
     assert f.cos_coeff(3) == pytest.approx(1.4)
     assert f.sin_coeff(5) == pytest.approx(-0.3)
     assert f.cos_coeff(5) == pytest.approx(0.0)
-
-
-def test_sample_recovery():
-    rng = np.random.default_rng(5)
-    f = CircleFunction.random_real(6, rng)
-    n = 31
-    vals = f(2 * np.pi * np.arange(n) / n)
-    g = circle_from_samples(vals)
-    assert (f - g).sup_norm() < 1e-12
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(6)
-    f = CircleFunction.random_real(4, rng)
-    g = CircleFunction.from_json(f.to_json())
-    assert (f - g).sup_norm() == 0.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,12 +1,14 @@
 """Config validation, subcommands, artifacts, determinism."""
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -282,6 +284,24 @@ def test_benchmark_tracer_contract(tmp_path):
         for span, key in spans.items():
             assert work.get(span), span
             assert all(c[key] > 0 for c in work[span]), span
+
+
+def test_library_holds_only_what_it_runs():
+    """Every public top-level def/class of ``src/eelab`` is referenced in ``src/``
+    outside its own definition and ``__init__``; test-only oracles live in tests/.
+    The entry points ``cli.main`` and the EELF pair ``read_field``/``write_field``
+    are exempt."""
+    def names(tree):
+        return Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in (ROOT / "src" / "eelab").glob("*.py") if p.name != "__init__.py"}
+    refs = sum((names(t) for t in trees.values()), Counter())
+    exempt = {("cli", "main"), ("grids", "read_field"), ("grids", "write_field")}
+    unused = [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+              and (mod, node.name) not in exempt and refs[node.name] == names(node)[node.name]]
+    assert unused == []
 
 
 def _jump_config_with(path: str, value) -> dict:

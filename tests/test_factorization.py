@@ -1,19 +1,23 @@
 """Factorization coefficient, ladder checks, and measure-pairing equivalence."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from decomposition_oracle import harmonic_extension
 from eelab.circle import CircleFunction
+from eelab.entropy import harmonic_entropy, multiplier
 from eelab.factorization import (
+    _reject_dead_zone,
     factor_coefficient,
     generated_productions,
     pairing_consistency_gap,
-    rotated_productions,
     vanishing_production_check,
     verify_factorization,
-    verify_harmonic_decomposition,
 )
 from eelab.grids import (
+    BoolArray,
     ConstantSpec,
     JumpSpec,
     Mollifier,
@@ -21,10 +25,61 @@ from eelab.grids import (
     VortexSpec,
     build_field,
     centered_grid,
+    combine_masks,
+    lp_norm,
     mollify,
 )
-from eelab.kinetic import factorized_measure, theta_of_vec
-from eelab.production import div_sigma_closed, mollified_level
+from eelab.kinetic import factorized_measure, rotated_production, theta_of_vec
+from eelab.production import Level, div_entropy, div_sigma_closed, mollified_level
+
+
+def rotated_productions(theta, div1: ScalarField, div2: ScalarField):
+    """e^{i2th}.divS, as the library computes it, and ie^{i2th}.divS."""
+    c, s = np.cos(2 * theta), np.sin(2 * theta)
+    return rotated_production(theta, (div1, div2)), -s * div1.values + c * div2.values
+
+
+@dataclass(frozen=True)
+class HarmonicDecompositionReport:
+    eps: float
+    lhs_norm: float
+    first_term_norm: float
+    second_term_norm: float
+    residual_norm: float
+    p: float
+
+
+def verify_harmonic_decomposition(
+    psi: CircleFunction,
+    lv: Level,
+    p: float,
+    region: BoolArray,
+) -> HarmonicDecompositionReport:
+    """Fields of the harmonic-entropy production decomposition at one scale.
+
+    Computes div Phi^{E psi}(m_eps), the first-multiplier term against
+    e^{i2th}.divS, and the second-multiplier term against ie^{i2th}.divS
+    (the term that drops out in the limit for solutions), and the residual
+    of the full two-term identity.
+    """
+    _reject_dead_zone(lv, region)
+    lhs = div_entropy(lv.v, harmonic_entropy(harmonic_extension(psi)))
+    s1, s2 = lv.div_sigma
+    rot, rot_perp = rotated_productions(lv.theta.values, s1, s2)
+    a1 = multiplier(1, psi)
+    a2 = multiplier(2, psi)
+    t1 = a1.real_values(lv.theta.values) * rot
+    t2 = a2.real_values(lv.theta.values) * rot_perp
+    where = combine_masks(lhs.effective_mask(), s1.effective_mask(), region)
+    grid = lv.m.grid
+    return HarmonicDecompositionReport(
+        eps=lv.eps,
+        lhs_norm=lp_norm(lhs.values, grid, p, where),
+        first_term_norm=lp_norm(t1, grid, p, where),
+        second_term_norm=lp_norm(t2, grid, p, where),
+        residual_norm=lp_norm(lhs.values - t1 - t2, grid, p, where),
+        p=p,
+    )
 
 
 def annulus(grid, lo=0.45, hi=0.7):

@@ -1,12 +1,18 @@
 """Kinetic density, weak identity residuals, and the factorized measure."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from numpy.typing import NDArray
 
 from eelab.bumps import RadialBump, TensorBump
 from eelab.circle import CircleFunction
 from eelab.grids import (
+    AngleField,
     ConstantSpec,
+    FloatArray,
+    Grid2,
     JumpSpec,
     Mollifier,
     ScalarField,
@@ -16,19 +22,50 @@ from eelab.grids import (
     mollify,
 )
 from eelab.kinetic import (
+    TWO_PI,
     JumpLineMeasure,
     SpaceTimeTestFunction,
     arc_integral,
     chi_difference_bound,
     chi_pairing,
     factorized_measure,
-    indicator_lattice,
     kinetic_residual,
-    lattice_pairing,
     pair_measure,
     theta_of_vec,
 )
 from eelab.production import div_sigma_closed
+
+
+# the indicator sampled on an s-lattice: a Riemann-sum oracle for the exact arc pairings
+@dataclass(frozen=True)
+class KineticLattice:
+    """chi sampled at s-cell centers s_j = (j + 1/2) 2pi/ns."""
+
+    grid: Grid2
+    theta: FloatArray
+    ns: int
+    chi: NDArray[np.bool_]
+
+    def s_centers(self) -> FloatArray:
+        return (np.arange(self.ns) + 0.5) * TWO_PI / self.ns
+
+    def s_integral(self) -> FloatArray:
+        """int chi(x, s) ds per cell (equals pi for generic angles, even ns)."""
+        return self.chi.sum(axis=-1) * (TWO_PI / self.ns)
+
+
+def indicator_lattice(m: AngleField, ns: int) -> KineticLattice:
+    if ns < 64:
+        raise ValueError(f"need ns >= 64 s-cells, got {ns}")
+    s = (np.arange(ns) + 0.5) * TWO_PI / ns
+    chi = np.cos(s[None, None, :] - m.theta[..., None]) > 0.0
+    return KineticLattice(grid=m.grid, theta=m.theta.copy(), ns=ns, chi=chi)
+
+
+def lattice_pairing(lattice: KineticLattice, q: CircleFunction) -> FloatArray:
+    """Per-cell Riemann sum of chi against q over the s-grid (O(1/ns) accurate)."""
+    qs = q.real_values(lattice.s_centers())
+    return lattice.chi @ qs * (TWO_PI / lattice.ns)
 
 
 def test_theta_of_roundtrips():

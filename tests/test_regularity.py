@@ -1,8 +1,11 @@
 """Interaction weight, interaction functional, Besov ladders."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_jacobi
 
 from eelab.bumps import RadialBump
 from eelab.grids import (
@@ -21,10 +24,29 @@ from eelab.regularity import (
     interaction_functional,
     interaction_identity_check,
     make_interaction_weight,
-    substitution_form,
     symmetric_interaction_closed_form,
     symmetric_pair_interaction,
 )
+
+
+@lru_cache(maxsize=64)
+def gauss_jacobi01(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights with int_0^1 y^alpha g(y) dy = sum w_i g(y_i)."""
+    x, w = roots_jacobi(n, 0.0, alpha)
+    y = 0.5 * (x + 1.0)
+    return y, w * 2.0 ** (-1.0 - alpha)
+
+
+def substitution_form(beta: float, weight: InteractionWeight) -> float:
+    """Independent small-angle oracle 8 (2b)^{2+a} int_0^1 v^a (1-v) sin(2bv) dv.
+
+    Valid for beta <= pi/8 where only the power branch is sampled.
+    """
+    if beta > np.pi / 8 + 1e-12:
+        raise ValueError("substitution form needs beta <= pi/8")
+    y, w = gauss_jacobi01(48, weight.alpha)
+    val = np.sum(w * (1 - y) * np.sin(2 * beta * y))
+    return float(8.0 * (2 * beta) ** (2 + weight.alpha) * val)
 
 
 # ---------------------------------------------------------------------------
