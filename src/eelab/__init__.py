@@ -50,7 +50,6 @@ from .kinetic import (
     JumpLineMeasure,
     KineticMeasure,
     SpaceTimeTestFunction,
-    factorized_measure,
     kinetic_residual,
     pair_measure,
     rotated_production,
@@ -62,6 +61,7 @@ from .production import (
     cubic_difference_average,
     div_entropy,
     div_sigma_closed,
+    factorized_measure,
     jump_production_mass,
     mollified_level,
     pointwise_bound_check,
@@ -76,7 +76,6 @@ from .regularity import (
     coercivity_scan,
     interaction_functional,
     interaction_identity_check,
-    make_interaction_weight,
     symmetric_interaction_closed_form,
     symmetric_pair_interaction,
 )

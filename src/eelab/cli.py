@@ -64,7 +64,6 @@ from .kinetic import (
     JumpLineMeasure,
     SpaceTimeTestFunction,
     chi_difference_bound,
-    factorized_measure,
     kinetic_residual,
     test_function_suite,
 )
@@ -73,17 +72,18 @@ from .production import (
     cubic_average_besov_bound,
     cubic_difference_average,
     div_entropy,
+    factorized_measure,
     jump_production_mass,
     mollified_level,
     pointwise_bound_check,
     production_ladder,
 )
 from .regularity import (
+    InteractionWeight,
     besov_seminorm,
     coercivity_profile,
     coercivity_scan,
     interaction_identity_check,
-    make_interaction_weight,
     symmetric_interaction_closed_form,
     symmetric_pair_interaction,
 )
@@ -384,7 +384,7 @@ def check_kinetic(cfg: ExperimentConfig, ladder: list[Level],
 
     # factorized-measure invariants at the finest level
     m = ladder[-1].m
-    sig = factorized_measure(ladder[-1].theta, ladder[-1].div_sigma)
+    sig = factorized_measure(ladder[-1])
     one = CircleFunction.constant(1.0)
     mass_gap = float(np.max(np.abs(sig.integrate(one))))
     nu_gap = float(np.max(np.abs(sig.nu().values - 2 * np.abs(sig.g))))
@@ -403,7 +403,7 @@ def check_kinetic(cfg: ExperimentConfig, ladder: list[Level],
 def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
                       rng: np.random.Generator) -> CheckResult:
     alpha = cfg.effective_alpha()
-    weight = make_interaction_weight(alpha)
+    weight = InteractionWeight(alpha)
     details: dict = {}
     rows = []
     betas = np.linspace(0.01, np.pi / 2, 64)

@@ -54,9 +54,9 @@ class EntropyMap:
         t = np.asarray(t, dtype=float)
         return np.stack([self.comp1.real_values(t), self.comp2.real_values(t)], axis=-1)
 
-    def c2_norm(self, samples: int = 4096) -> float:
-        """max over the circle of |Phi|, |Phi'|, |Phi''| (Euclidean norm)."""
-        t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    def c2_norm(self) -> float:
+        """max over 4096 circle samples of |Phi|, |Phi'|, |Phi''| (Euclidean norm)."""
+        t = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
         worst = 0.0
         f = self.as_complex()
         for order in range(3):
@@ -419,11 +419,11 @@ class ExtendedEntropy:
         self._jacobian = jacobian_fn
         self.domain_radius = domain_radius
 
-    def check_domain(self, v: FloatArray, tol: float = 1e-8) -> None:
+    def check_domain(self, v: FloatArray) -> None:
         if np.isfinite(self.domain_radius):
             r = np.hypot(v[..., 0], v[..., 1])
             worst = float(np.max(r, initial=0.0))
-            if worst > self.domain_radius + tol:
+            if worst > self.domain_radius + 1e-8:  # rounding allowance
                 raise ValueError(
                     f"values leave the domain of the {self.kind} extension "
                     f"(max |v| = {worst:.6g} > {self.domain_radius:.6g})"

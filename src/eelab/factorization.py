@@ -24,8 +24,8 @@ from numpy.typing import NDArray
 from .circle import CircleFunction
 from .entropy import generated_entropy, radial_extension
 from .grids import BoolArray, ScalarField, combine_masks, lp_norm
-from .kinetic import KineticMeasure, factorized_measure, pair_measure, rotated_production
-from .production import Level, div_entropy
+from .kinetic import KineticMeasure, pair_measure
+from .production import Level, div_entropy, factorized_measure
 
 FloatArray = NDArray[np.float64]
 
@@ -91,8 +91,7 @@ def verify_factorization(
         grid = lv.m.grid
         region = region_of(grid)
         _reject_dead_zone(lv, region)
-        rot = rotated_production(lv.theta.values, lv.div_sigma)
-        rhs = factor_coefficient(f, lv.theta.values) * rot
+        rhs = factor_coefficient(f, lv.theta.values) * lv.g
         where = combine_masks(lhs.effective_mask(), lv.div_sigma[0].effective_mask(), region)
         lhs_norms.append(lp_norm(lhs.values, grid, p, where))
         rhs_norms.append(lp_norm(rhs, grid, p, where))
@@ -141,9 +140,8 @@ def vanishing_production_check(
     for k, lv in enumerate(ladder):
         grid = lv.m.grid
         region = region_of(grid)
-        sigma = factorized_measure(lv.theta, lv.div_sigma)
         where = combine_masks(lv.div_sigma[0].effective_mask(), region)
-        nu_masses.append(lp_norm(sigma.nu().values, grid, 1, where))
+        nu_masses.append(lp_norm(factorized_measure(lv).nu().values, grid, 1, where))
         for row, prods in zip(rows, productions):
             d = prods[k]
             where_d = combine_masks(d.effective_mask(), region)

@@ -141,14 +141,6 @@ def rotated_production(theta: FloatArray, div_sigma: tuple[ScalarField, ScalarFi
     return np.cos(2 * theta) * s1.values + np.sin(2 * theta) * s2.values
 
 
-def factorized_measure(theta: ScalarField, div_sigma: tuple[ScalarField, ScalarField]) -> KineticMeasure:
-    """Measure with density g = e^{i 2 theta} . (divS1, divS2) per cell."""
-    s1, s2 = div_sigma
-    g = rotated_production(theta.values, div_sigma)
-    mask = combine_masks(theta.mask, s1.mask, s2.mask)
-    return KineticMeasure(grid=theta.grid, theta=theta.values.copy(), g=g, mask=mask)
-
-
 def pair_measure(sigma: KineticMeasure, f: CircleFunction, zeta: ScalarField) -> float:
     """sum over cells of (int f dsigma_x) zeta(x) cell-area."""
     vals = sigma.integrate(f)

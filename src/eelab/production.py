@@ -31,7 +31,7 @@ from .grids import (
     mollify,
     stencil_mask,
 )
-from .kinetic import theta_of_vec
+from .kinetic import KineticMeasure, rotated_production, theta_of_vec
 from .regularity import besov_seminorm
 
 FloatArray = NDArray[np.float64]
@@ -124,7 +124,8 @@ class Level:
     """A field sampling at one mollification scale, with everything derived from it.
 
     ``v`` is m * rho_eps, ``theta`` and ``live`` its angle and live mask
-    (|v| >= 1/2) and ``div_sigma`` its two closed-form Jin-Kohn productions.
+    (|v| >= 1/2), ``div_sigma`` its two closed-form Jin-Kohn productions and
+    ``g`` = e^{i 2 theta} . div_sigma their rotation.
     Every array is read-only, so one level can feed any number of checks,
     also on concurrent threads.
     """
@@ -135,6 +136,7 @@ class Level:
     theta: ScalarField
     live: BoolArray
     div_sigma: tuple[ScalarField, ScalarField]
+    g: FloatArray
 
 
 def mollified_level(m: AngleField, eps: float) -> Level:
@@ -142,10 +144,18 @@ def mollified_level(m: AngleField, eps: float) -> Level:
     v = mollify(m, Mollifier(eps))
     theta, live = theta_of_vec(v)
     s1, s2 = div_sigma_closed(v)
+    g = rotated_production(theta.values, (s1, s2))
     for a in (m.theta, v.values, v.mask, theta.values, theta.mask, live,
-              s1.values, s1.mask, s2.values, s2.mask):
+              s1.values, s1.mask, s2.values, s2.mask, g):
         a.flags.writeable = False
-    return Level(m, eps, v, theta, live, (s1, s2))
+    return Level(m, eps, v, theta, live, (s1, s2), g)
+
+
+def factorized_measure(lv: Level) -> KineticMeasure:
+    """The kinetic measure of a level, with density ``lv.g`` per cell."""
+    s1, s2 = lv.div_sigma
+    mask = combine_masks(lv.theta.mask, s1.mask, s2.mask)
+    return KineticMeasure(grid=lv.m.grid, theta=lv.theta.values, g=lv.g, mask=mask)
 
 
 # ---------------------------------------------------------------------------

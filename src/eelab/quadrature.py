@@ -41,7 +41,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 #: geometric grading pieces per segment and Gauss nodes per piece
 _PIECES = 8
-_NODES = 16
+_NODES = 24
 #: slivers closer to a singular point than this are dropped (error ~ SNAP^{1+alpha})
 _SNAP = 1e-8
 
@@ -116,13 +116,13 @@ def _split_segments(ulo: np.ndarray, uhi: np.ndarray, extra: list[np.ndarray]):
 
 
 def phi_weighted_integral(g, lo, hi, weight):
-    """int_lo^hi w_alpha(u) g(u) du, vectorized over lo/hi arrays, 24 nodes per piece.
+    """int_lo^hi w_alpha(u) g(u) du, vectorized over lo/hi arrays, _NODES nodes per piece.
 
     g must accept arrays and be smooth on [lo, hi].
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
     seg_lo, seg_hi = _split_segments(lo, hi, [])
-    U, W = _segment_nodes(seg_lo, seg_hi, weight, 24)
+    U, W = _segment_nodes(seg_lo, seg_hi, weight, _NODES)
     return np.sum(W * g(U), axis=(-1, -2, -3))
 
 
@@ -244,7 +244,7 @@ def arc_rectangle_integral(kind: str, slo, shi, tlo, thi, weight, n: int = _NODE
     return out
 
 
-def interaction_pair_value(theta0, theta1, weight, n: int = 24):
+def interaction_pair_value(theta0, theta1, weight):
     """The interaction functional of the value pair (theta0, theta1).
 
     Expands the product of indicator differences into four signed rectangles
@@ -259,13 +259,12 @@ def interaction_pair_value(theta0, theta1, weight, n: int = 24):
     for ta, wa in zip(arcs, signs):
         for tb, wb in zip(arcs, signs):
             total = total + wa * wb * arc_rectangle_integral(
-                "sin_diff", ta - np.pi / 2, ta + np.pi / 2, tb - np.pi / 2, tb + np.pi / 2,
-                weight, n=n,
+                "sin_diff", ta - np.pi / 2, ta + np.pi / 2, tb - np.pi / 2, tb + np.pi / 2, weight
             )
     return total
 
 
-def interaction_pair_flux(theta0, theta1, weight, n: int = 24):
+def interaction_pair_flux(theta0, theta1, weight):
     """The two flux components of the interaction identity at a value pair.
 
     With chi the arc indicator of theta0 and chi^h that of theta1,
@@ -278,10 +277,10 @@ def interaction_pair_flux(theta0, theta1, weight, n: int = 24):
     )
     h = np.pi / 2
     a1 = 2.0 * (
-        arc_rectangle_integral("sin_cos", theta1 - h, theta1 + h, theta1 - h, theta1 + h, weight, n=n)
-        - arc_rectangle_integral("sin_cos", theta1 - h, theta1 + h, theta0 - h, theta0 + h, weight, n=n)
+        arc_rectangle_integral("sin_cos", theta1 - h, theta1 + h, theta1 - h, theta1 + h, weight)
+        - arc_rectangle_integral("sin_cos", theta1 - h, theta1 + h, theta0 - h, theta0 + h, weight)
     )
     a2 = 2.0 * arc_rectangle_integral(
-        "sin_sin", theta0 - h, theta0 + h, theta1 - h, theta1 + h, weight, n=n
+        "sin_sin", theta0 - h, theta0 + h, theta1 - h, theta1 + h, weight
     )
     return a1, a2

@@ -75,10 +75,6 @@ class InteractionWeight:
     __call__ = value
 
 
-def make_interaction_weight(alpha: float) -> InteractionWeight:
-    return InteractionWeight(alpha)
-
-
 # ---------------------------------------------------------------------------
 # Besov seminorm estimation
 # ---------------------------------------------------------------------------
@@ -178,11 +174,11 @@ class InteractionSample:
     dm: float
 
 
-def _point_in_interior(grid: Grid2, x: tuple[float, float], margin: float = 0.0) -> bool:
+def _point_in_interior(grid: Grid2, x: tuple[float, float]) -> bool:
     lx, ly = grid.extent
     return (
-        grid.origin[0] + margin <= x[0] <= grid.origin[0] + lx - margin
-        and grid.origin[1] + margin <= x[1] <= grid.origin[1] + ly - margin
+        grid.origin[0] <= x[0] <= grid.origin[0] + lx
+        and grid.origin[1] <= x[1] <= grid.origin[1] + ly
     )
 
 

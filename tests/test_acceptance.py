@@ -45,21 +45,19 @@ from eelab.grids import (
 from eelab.kinetic import (
     JumpLineMeasure,
     SpaceTimeTestFunction,
-    factorized_measure,
     kinetic_residual,
-    theta_of_vec,
 )
 from eelab.production import (
     cubic_average_besov_bound,
     cubic_difference_average,
-    div_sigma_closed,
+    factorized_measure,
     jump_production_mass,
     mollified_level,
 )
 from eelab.regularity import (
+    InteractionWeight,
     besov_seminorm,
     coercivity_profile,
-    make_interaction_weight,
     symmetric_interaction_closed_form,
     symmetric_pair_interaction,
 )
@@ -282,7 +280,7 @@ def test_criterion_11_interaction_agreement():
     constants = {}
     betas = np.linspace(0.01, np.pi / 2, 120)
     for alpha in (0.25, 0.5, 1.0):
-        w = make_interaction_weight(alpha)
+        w = InteractionWeight(alpha)
         gap = np.abs(
             symmetric_pair_interaction(betas, w) - symmetric_interaction_closed_form(betas, w)
         ).max()
@@ -329,9 +327,7 @@ def test_criterion_12_kinetic_weak_identity(jump_setup):
     jump_ok = jump_res[1] < 0.5 * jump_res[0] and jump_res[1] < 1e-4
 
     g, _, m, eps, _, _ = jump_setup
-    v = mollify(m, Mollifier(0.125))
-    th, _ = theta_of_vec(v)
-    sig = factorized_measure(th, div_sigma_closed(v))
+    sig = factorized_measure(mollified_level(m, 0.125))
     mass = float(np.abs(sig.integrate(CircleFunction.constant(1.0))).max())
     nu_exact = bool(np.array_equal(sig.nu().values, 2.0 * np.abs(sig.g)))
     verdict(
@@ -344,9 +340,7 @@ def test_criterion_12_kinetic_weak_identity(jump_setup):
 
 def test_criterion_13_factorization_consistency(jump_setup, vortex_ladder):
     g, spec, m, eps, pm, yrow = jump_setup
-    v = mollify(m, Mollifier(0.125))
-    th, _ = theta_of_vec(v)
-    sig = factorized_measure(th, div_sigma_closed(v))
+    sig = factorized_measure(mollified_level(m, 0.125))
     x, y = g.meshgrid()
     zeta = ScalarField(g, np.cos(1.3 * x) * np.exp(-(y**2)))
     gap = 0.0

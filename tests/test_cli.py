@@ -409,3 +409,14 @@ def test_vortex_interaction_scan_passes_at_every_seed(monkeypatch):
         ).status != "PASS"
     ]
     assert failed == []
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    """``import eelab.cli`` loads scipy only through ``scipy.fft``.  Checked in a
+    child process: the test process has imported these packages already."""
+    heavy = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg")
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import eelab.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

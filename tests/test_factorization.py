@@ -29,8 +29,8 @@ from eelab.grids import (
     lp_norm,
     mollify,
 )
-from eelab.kinetic import factorized_measure, rotated_production, theta_of_vec
-from eelab.production import Level, div_entropy, div_sigma_closed, mollified_level
+from eelab.kinetic import rotated_production, theta_of_vec
+from eelab.production import Level, div_entropy, div_sigma_closed, factorized_measure, mollified_level
 
 
 def rotated_productions(theta, div1: ScalarField, div2: ScalarField):
@@ -228,9 +228,7 @@ def test_vanishing_production_constant_noise_floor():
 def test_pairing_consistency_exact():
     g = centered_grid(96, 2.0)
     m = build_field(JumpSpec(), g)
-    v = mollify(m, Mollifier(0.125))
-    th, _ = theta_of_vec(v)
-    sig = factorized_measure(th, div_sigma_closed(v))
+    sig = factorized_measure(mollified_level(m, 0.125))
     x, y = g.meshgrid()
     zeta = ScalarField(g, np.cos(x) * np.exp(-y**2))
     rng = np.random.default_rng(4)

@@ -4,10 +4,12 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
 from eelab.grids import (
+    _BUMP_NORMALIZATION,
     TWO_PI,
     AngleField,
     ConstantSpec,
@@ -18,6 +20,7 @@ from eelab.grids import (
     VecField,
     VortexSpec,
     _bump_profile,
+    _convolve_same,
     _overlap,
     build_field,
     central_partials,
@@ -32,9 +35,9 @@ from eelab.grids import (
 from eelab.production import cubic_difference_average
 
 
-def quadrature_mass(mo: Mollifier) -> float:
-    """Recompute the total integral of the scaled kernel by quadrature."""
-    c = mo._normalization()
+def quadrature_mass() -> float:
+    """Recompute the total integral of the normalized kernel by quadrature."""
+    c = _BUMP_NORMALIZATION
     mass, _ = quad(lambda r: c * _bump_profile(np.array(r)) * r * TWO_PI, 0.0, 1.0, limit=400)
     return float(mass)
 
@@ -115,9 +118,26 @@ def test_vortex_center_rejected_on_cell():
 
 def test_mollifier_mass_and_resolution():
     mo = Mollifier(0.1)
-    assert quadrature_mass(mo) == pytest.approx(1.0, abs=1e-10)
+    assert quadrature_mass() == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError, match="under-resolved"):
         mo.discrete_weights(0.06)
+
+
+def test_bump_normalization_is_the_quadrature_value():
+    """The recorded constant is, bit for bit, 1 / (2 pi int_0^1 bump(r) r dr)."""
+    mass, _ = quad(lambda r: _bump_profile(np.array(r)) * r, 0.0, 1.0, limit=200)
+    assert _BUMP_NORMALIZATION.hex() == (1.0 / (TWO_PI * mass)).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(7, 256), st.integers(7, 256), st.integers(1, 12), st.integers(0, 2**32 - 1))
+@example(7, 9, 12, 0)  # a kernel wider than the array in both directions
+@example(256, 7, 5, 1)
+def test_convolve_same_matches_fftconvolve_bitwise(ny, nx, radius, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(ny, nx + (nx == ny)))  # never square
+    w = rng.random((2 * radius + 1, 2 * radius + 1))
+    assert np.array_equal(_convolve_same(a, w), fftconvolve(a, w, mode="same"))
 
 
 def test_mollify_constant_is_identity():

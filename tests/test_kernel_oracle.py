@@ -24,7 +24,7 @@ from eelab.quadrature import (
     interaction_pair_flux,
     interaction_pair_value,
 )
-from eelab.regularity import make_interaction_weight
+from eelab.regularity import InteractionWeight
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -175,7 +175,7 @@ def assert_bits(new, old):
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_arc_rectangle_integral_matches_oracle_bitwise(kind, alpha):
-    weight = make_interaction_weight(alpha)
+    weight = InteractionWeight(alpha)
     oracle = OracleWeight(weight)
     # the (300,) batch, three groups with a short last one, is covered by the
     # value/flux test below, which integrates the same rectangles
@@ -191,7 +191,7 @@ def test_arc_rectangle_integral_matches_oracle_bitwise(kind, alpha):
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_arc_rectangle_chunk_matches_oracle_bitwise(kind, alpha):
-    weight = make_interaction_weight(alpha)
+    weight = InteractionWeight(alpha)
     oracle = OracleWeight(weight)
     for seed, shape in enumerate(SHAPES):
         th0, th1 = theta_pairs(shape, 100 + seed)
@@ -207,7 +207,7 @@ def test_arc_rectangle_chunk_matches_oracle_bitwise(kind, alpha):
 def test_layout_groups_match_oracle_bitwise(kind):
     """Arcs of random width, zero included: the u-span, and so the segment
     count, varies between rows, so each 128-row group gets its own layout."""
-    weight = make_interaction_weight(0.5)
+    weight = InteractionWeight(0.5)
     rng = np.random.default_rng(21)
     c0, c1 = rng.uniform(-7, 7, (2, 300))
     half = rng.uniform(0, np.pi, (4, 300))
@@ -222,7 +222,7 @@ def test_layout_groups_match_oracle_bitwise(kind):
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_pair_value_and_flux_match_oracle_bitwise(alpha):
-    weight = make_interaction_weight(alpha)
+    weight = InteractionWeight(alpha)
     oracle = OracleWeight(weight)
     h = np.pi / 2
     th0, th1 = theta_pairs((300,), 7)
@@ -243,7 +243,7 @@ def test_pair_value_and_flux_match_oracle_bitwise(alpha):
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_segment_nodes_match_oracle_bitwise(alpha):
-    weight = make_interaction_weight(alpha)
+    weight = InteractionWeight(alpha)
     rng = np.random.default_rng(11)
     cell = rng.integers(-16, 16, 400)
     lo = (cell + rng.uniform(0, 1, 400)) * QUARTER
@@ -275,7 +275,7 @@ def weight_arguments(seed):
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_weight_value_matches_oracle_bitwise(alpha):
-    weight = make_interaction_weight(alpha)
+    weight = InteractionWeight(alpha)
     oracle = OracleWeight(weight)
     t = weight_arguments(3)
     assert_bits(weight.value(t), oracle.value(t))

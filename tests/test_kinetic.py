@@ -14,12 +14,10 @@ from eelab.grids import (
     FloatArray,
     Grid2,
     JumpSpec,
-    Mollifier,
     ScalarField,
     VortexSpec,
     build_field,
     centered_grid,
-    mollify,
 )
 from eelab.kinetic import (
     TWO_PI,
@@ -28,12 +26,11 @@ from eelab.kinetic import (
     arc_integral,
     chi_difference_bound,
     chi_pairing,
-    factorized_measure,
     kinetic_residual,
     pair_measure,
     theta_of_vec,
 )
-from eelab.production import div_sigma_closed
+from eelab.production import factorized_measure, mollified_level
 
 
 # the indicator sampled on an s-lattice: a Riemann-sum oracle for the exact arc pairings
@@ -152,9 +149,7 @@ def test_chi_difference_bound():
 def _measure_for(field, eps=0.125, n=96):
     g = centered_grid(n, 2.0)
     m = build_field(field, g)
-    v = mollify(m, Mollifier(eps))
-    th, _ = theta_of_vec(v)
-    return g, factorized_measure(th, div_sigma_closed(v))
+    return g, factorized_measure(mollified_level(m, eps))
 
 
 def test_measure_mass_cancels_exactly():
@@ -296,9 +291,7 @@ def test_residual_with_factorized_measure_refines():
     for n, eps in ((64, 0.24), (128, 0.12), (256, 0.06)):
         g = centered_grid(n, 2.4)
         m = build_field(VortexSpec(), g)
-        v = mollify(m, Mollifier(eps))
-        th, _ = theta_of_vec(v)
-        sig = factorized_measure(th, div_sigma_closed(v))
+        sig = factorized_measure(mollified_level(m, eps))
         z = SpaceTimeTestFunction(
             RadialBump(center=(0, 0), r0=0.7, width=0.3),
             CircleFunction.random_real(5, np.random.default_rng(2)), "ann")

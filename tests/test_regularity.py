@@ -23,7 +23,6 @@ from eelab.regularity import (
     coercivity_scan,
     interaction_functional,
     interaction_identity_check,
-    make_interaction_weight,
     symmetric_interaction_closed_form,
     symmetric_pair_interaction,
 )
@@ -55,7 +54,7 @@ def substitution_form(beta: float, weight: InteractionWeight) -> float:
 
 
 def test_weight_power_branch_exact():
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     t = np.linspace(0, np.pi / 4, 100)
     # bit-identical to the power formula (np.power; x**0.5 may route to sqrt
     # and differ in the last ulp)
@@ -66,7 +65,7 @@ def test_weight_power_branch_exact():
 
 def test_weight_invariants_dense_sample():
     for alpha in (0.25, 0.5, 1.0):
-        w = make_interaction_weight(alpha)
+        w = InteractionWeight(alpha)
         t = np.linspace(-7, 7, 10_000)
         assert np.abs(w.value(-t) + w.value(t)).max() < 1e-14       # odd
         assert np.abs(w.value(t + np.pi) - w.value(t)).max() < 1e-14  # pi-periodic
@@ -76,7 +75,7 @@ def test_weight_invariants_dense_sample():
 
 
 def test_weight_c1_at_quarter_pi():
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     h = 1e-7
     left = (w.value(np.pi / 4) - w.value(np.pi / 4 - h)) / h
     right = (w.value(np.pi / 4 + h) - w.value(np.pi / 4)) / h
@@ -86,7 +85,7 @@ def test_weight_c1_at_quarter_pi():
 def test_weight_rejects_bad_exponent():
     for alpha in (0.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            make_interaction_weight(alpha)
+            InteractionWeight(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_weight_rejects_bad_exponent():
 
 @pytest.mark.parametrize("alpha", (0.25, 0.5, 1.0))
 def test_pair_vs_closed_form(alpha):
-    w = make_interaction_weight(alpha)
+    w = InteractionWeight(alpha)
     betas = np.linspace(1e-3, np.pi / 2, 79)
     direct = symmetric_pair_interaction(betas, w)
     closed = symmetric_interaction_closed_form(betas, w)
@@ -105,17 +104,17 @@ def test_pair_vs_closed_form(alpha):
 
 def test_substitution_form_oracle():
     for alpha in (0.25, 0.5, 1.0):
-        w = make_interaction_weight(alpha)
+        w = InteractionWeight(alpha)
         val = float(symmetric_pair_interaction(np.pi / 16, w))
         assert val == pytest.approx(substitution_form(np.pi / 16, w), abs=1e-10)
     with pytest.raises(ValueError):
-        substitution_form(1.0, make_interaction_weight(0.5))
+        substitution_form(1.0, InteractionWeight(0.5))
 
 
 def test_pair_vs_brute_force_lattice():
     """Coarse midpoint lattice quadrature of the double integral as an
     independent oracle (O(1/N) accurate)."""
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     rng = np.random.default_rng(0)
     N = 2400
     s = (np.arange(N) + 0.5) * 2 * np.pi / N
@@ -130,13 +129,13 @@ def test_pair_vs_brute_force_lattice():
 
 
 def test_zero_values():
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     assert float(symmetric_interaction_closed_form(np.array(0.0), w)) == 0.0
     assert abs(float(interaction_pair_value(1.3, 1.3, w))) < 1e-14
 
 
 def test_rotation_invariance():
-    w = make_interaction_weight(0.25)
+    w = InteractionWeight(0.25)
     rng = np.random.default_rng(1)
     for _ in range(5):
         t0, t1, c = rng.uniform(0, 2 * np.pi, 3)
@@ -146,7 +145,7 @@ def test_rotation_invariance():
 
 
 def test_swap_symmetry():
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     a = float(interaction_pair_value(0.4, 2.1, w))
     b = float(interaction_pair_value(2.1, 0.4, w))
     assert a == pytest.approx(b, abs=1e-12)
@@ -154,7 +153,7 @@ def test_swap_symmetry():
 
 def test_coercivity_profile_positive():
     for alpha in (0.25, 0.5, 1.0):
-        w = make_interaction_weight(alpha)
+        w = InteractionWeight(alpha)
         prof = coercivity_profile(w, np.linspace(0.01, np.pi / 2, 300))
         assert prof.min() > 0.5  # reported constant, depends on the blend
 
@@ -167,7 +166,7 @@ def test_coercivity_profile_positive():
 def test_interaction_functional_trivial_pairs():
     g = centered_grid(32, 2.0)
     m = build_field(ConstantSpec(0.3), g)
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     rec = interaction_functional(m, (0.1, 0.1), 0.2, (1.0, 0.0), w)
     assert rec.delta == pytest.approx(0.0, abs=1e-13)
     with pytest.raises(ValueError, match="outside"):
@@ -177,7 +176,7 @@ def test_interaction_functional_trivial_pairs():
 def test_interaction_functional_symmetric_pair_matches_closed_form():
     g = centered_grid(64, 2.0)
     m = build_field(JumpSpec(theta_plus=np.pi / 2 + 0.11, theta_minus=np.pi / 2 - 0.11), g)
-    w = make_interaction_weight(1.0)
+    w = InteractionWeight(1.0)
     rec = interaction_functional(m, (0.0, -0.1), 0.2, (0.0, 1.0), w)
     beta = 0.11
     assert rec.delta == pytest.approx(float(symmetric_interaction_closed_form(np.array(beta), w)), abs=1e-8)
@@ -187,7 +186,7 @@ def test_interaction_functional_symmetric_pair_matches_closed_form():
 def test_coercivity_scan_jump_and_floor():
     g = centered_grid(64, 2.0)
     m = build_field(JumpSpec(), g)
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     samples = []
     for h in (0.1, 0.2, 0.4):
         samples.append(((0.0, -h / 2), h, (0.0, 1.0)))   # crosses the jump
@@ -206,7 +205,7 @@ def test_coercivity_scan_jump_and_floor():
 def test_chord_coercivity_minimum_at_right_angle(alpha):
     # in the |Dm| normalisation the closed form is smallest at beta = pi/2,
     # where the beta normalisation would put a gate above the closed form itself
-    w = make_interaction_weight(alpha)
+    w = InteractionWeight(alpha)
     betas = np.linspace(0.01, np.pi / 2, 64)
     chord = symmetric_interaction_closed_form(betas, w) / (2 * np.sin(betas)) ** (3 + alpha)
     assert int(np.argmin(chord)) == len(betas) - 1
@@ -216,7 +215,7 @@ def test_chord_coercivity_minimum_at_right_angle(alpha):
 def test_coercivity_scan_smooth_field():
     g = centered_grid(64, 2.4)
     m = build_field(VortexSpec(), g)
-    w = make_interaction_weight(0.25)
+    w = InteractionWeight(0.25)
     rng = np.random.default_rng(2)
     samples = []
     for _ in range(40):
@@ -288,7 +287,7 @@ def test_besov_rejects_empty_region():
 
 
 def test_interaction_identity_trivial_cases():
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     g = centered_grid(48, 2.8)
     gamma = RadialBump(center=(0, 0), r0=0.8, width=0.3)
     m = build_field(ConstantSpec(0.2), g)
@@ -300,7 +299,7 @@ def test_interaction_identity_trivial_cases():
 
 
 def test_interaction_identity_refines_on_vortex():
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     gamma = RadialBump(center=(0, 0), r0=0.7, width=0.35)
     rels = []
     for n in (32, 64):
@@ -313,7 +312,7 @@ def test_interaction_identity_refines_on_vortex():
 
 
 def test_interaction_identity_domain_guard():
-    w = make_interaction_weight(0.5)
+    w = InteractionWeight(0.5)
     g = centered_grid(32, 2.0)
     m = build_field(VortexSpec(), g)
     gamma = RadialBump(center=(0, 0), r0=0.8, width=0.25)
