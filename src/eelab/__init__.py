@@ -27,7 +27,7 @@ from .entropy import (
     multiplier_differential,
     potential_linear_term,
     q_coefficients,
-    radial_extension,
+    radial_values,
 )
 from .grids import (
     AngleField,

@@ -2,19 +2,37 @@
 
 A CircleFunction stores complex Fourier coefficients c_k for |k| <= band and
 represents t -> sum_k c_k e^{ikt}.  Every operation needed downstream
-(derivative, antiderivative, products, shifts) is exact
-coefficient arithmetic; pointwise sampling only ever appears as a separate
-oracle path in the tests.
+(derivative, antiderivative, products, shifts) is exact coefficient
+arithmetic.
+
+Evaluation contracts a Fourier basis exp(i t k), k = -band..band, with the
+coefficients; :func:`fourier_basis` is the one place that basis is built.
+``f(t)`` builds it for one function, and :func:`evaluate_all` builds it once
+per band for several functions on one ``t``.  Both contract the same basis
+with the same ``tensordot``, so both give the same bits.  Each function meets
+a basis of exactly its own band.  Contracting it with a wider basis, its
+coefficients padded with zeros, sums over a longer row and rounds
+differently.  A column slice of a wider basis would hold the same entries,
+but ``tensordot`` has to copy it first, and the bits would then rest on that
+copy reaching BLAS as a fresh basis does.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 ComplexArray = NDArray[np.complex128]
+
+
+def fourier_basis(t, band: int) -> ComplexArray:
+    """exp(i t k) for k = -band..band, as an array of shape t.shape + (2 band + 1,)."""
+    t = np.asarray(t, dtype=float)
+    ks = np.arange(-band, band + 1)
+    return np.exp(1j * np.multiply.outer(t, ks))
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -115,9 +133,13 @@ class CircleFunction:
 
     def __call__(self, t) -> np.ndarray | complex:
         t = np.asarray(t, dtype=float)
-        ks = np.arange(-self.band, self.band + 1)
-        out = np.tensordot(np.exp(1j * np.multiply.outer(t, ks)), self.coeffs, axes=([-1], [0]))
-        return out if t.ndim else complex(out)
+        return self._contract(fourier_basis(t, self.band), t.ndim)
+
+    def _contract(self, basis: ComplexArray, ndim: int) -> np.ndarray | complex:
+        """Contract ``basis``, which is ``fourier_basis(t, self.band)``, with the coefficients;
+        ``ndim`` is ``t.ndim``."""
+        out = np.tensordot(basis, self.coeffs, axes=([-1], [0]))
+        return out if ndim else complex(out)
 
     def real_values(self, t) -> np.ndarray:
         return np.real(self(np.asarray(t, dtype=float)))
@@ -203,3 +225,23 @@ class CircleFunction:
             "im": [float(x) for x in self.coeffs.imag],
             "kind": "circle-function",
         }
+
+
+def evaluate_all(fs: Sequence[CircleFunction], t) -> list[np.ndarray | complex]:
+    """``[f(t) for f in fs]``, bit for bit, with one Fourier basis per band.
+
+    The functions are grouped by their own (trimmed) band.  Each band's basis
+    is built once, contracted with every function of that band, and released
+    before the next one is built, so at most one basis is alive at a time.
+    Bands go widest first: the widest basis is built while no value is held
+    yet, which keeps the peak at that of evaluating the widest function alone.
+    """
+    t = np.asarray(t, dtype=float)
+    out: list[np.ndarray | complex] = [0j] * len(fs)
+    for band in sorted({f.band for f in fs}, reverse=True):
+        basis = fourier_basis(t, band)
+        for i, f in enumerate(fs):
+            if f.band == band:
+                out[i] = f._contract(basis, t.ndim)
+        del basis
+    return out

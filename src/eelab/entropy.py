@@ -19,13 +19,14 @@ complex monomial derivatives.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .circle import CircleFunction
+from .circle import CircleFunction, evaluate_all
 
 FloatArray = NDArray[np.float64]
 
@@ -445,37 +446,22 @@ def jin_kohn(j: Literal[1, 2]) -> ExtendedEntropy:
     raise ValueError("j must be 1 or 2")
 
 
-def radial_extension(phi: EntropyMap) -> ExtendedEntropy:
-    """Extension eta(|z|) Phi(z/|z|), supported on the annulus 1/2 <= |z| <= 2."""
-    eta = RadialCutoff()
-    f1, f2 = phi.comp1, phi.comp2
-    d1, d2 = f1.derivative(), f2.derivative()
+def radial_values(phis: Sequence[EntropyMap], v: FloatArray) -> list[FloatArray]:
+    """The radial extensions eta(|v|) Phi(v/|v|) of each Phi in phis, as (..., 2) arrays.
 
-    def split(v: FloatArray):
-        r = np.hypot(v[..., 0], v[..., 1])
-        omega = np.arctan2(v[..., 1], v[..., 0])
-        return r, omega
-
-    def val(v: FloatArray) -> FloatArray:
-        r, omega = split(v)
-        e = eta(r)
-        return np.stack([e * f1.real_values(omega), e * f2.real_values(omega)], axis=-1)
-
-    def jac(v: FloatArray) -> FloatArray:
-        r, omega = split(v)
-        safe = np.maximum(r, 1e-300)
-        e, ed = eta(r), eta.derivative(r)
-        p = np.stack([f1.real_values(omega), f2.real_values(omega)], axis=-1)
-        dp = np.stack([d1.real_values(omega), d2.real_values(omega)], axis=-1)
-        rad = np.stack([v[..., 0], v[..., 1]], axis=-1) / safe[..., None]
-        tang = np.stack([-v[..., 1], v[..., 0]], axis=-1) / (safe**2)[..., None]
-        out = (
-            ed[..., None, None] * p[..., :, None] * rad[..., None, :]
-            + e[..., None, None] * dp[..., :, None] * tang[..., None, :]
-        )
-        return np.where((r > 0)[..., None, None], out, 0.0)
-
-    return ExtendedEntropy("radial", val, jac)
+    Each extension is supported on the annulus 1/2 <= |v| <= 2.  |v|, the
+    angle and eta(|v|) are computed once, and the components of all of phis
+    share one Fourier basis per band (:func:`~eelab.circle.evaluate_all`).
+    """
+    v = np.asarray(v, dtype=float)
+    r = np.hypot(v[..., 0], v[..., 1])
+    omega = np.arctan2(v[..., 1], v[..., 0])
+    e = RadialCutoff()(r)
+    comps = evaluate_all([f for phi in phis for f in (phi.comp1, phi.comp2)], omega)
+    return [
+        np.stack([e * np.real(c1), e * np.real(c2)], axis=-1)
+        for c1, c2 in zip(comps[::2], comps[1::2])
+    ]
 
 
 def harmonic_entropy(phi: DiskHarmonic) -> ExtendedEntropy:

@@ -22,10 +22,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .circle import CircleFunction
-from .entropy import generated_entropy, radial_extension
-from .grids import BoolArray, ScalarField, combine_masks, lp_norm
+from .entropy import generated_entropy, radial_values
+from .grids import BoolArray, ScalarField, VecField, combine_masks, divergence, lp_norm
 from .kinetic import KineticMeasure, pair_measure
-from .production import Level, div_entropy, factorized_measure
+from .production import Level, factorized_measure
 
 FloatArray = NDArray[np.float64]
 
@@ -64,10 +64,21 @@ def _reject_dead_zone(lv: Level, region: BoolArray) -> None:
         raise ValueError("subdomain contains extension dead-zone cells (|m_eps| < 1/2)")
 
 
-def generated_productions(ladder: list[Level], f: CircleFunction) -> list[ScalarField]:
-    """div Phi_f(m_eps) on every level, Phi_f the radial extension of the entropy f generates."""
-    phi = radial_extension(generated_entropy(f))
-    return [div_entropy(lv.v, phi) for lv in ladder]
+def generated_productions(ladder: list[Level], fs: Sequence[CircleFunction]) -> list[list[ScalarField]]:
+    """div Phi_f(m_eps) per f in fs (outer list) and per level (inner list).
+
+    Phi_f is the radial extension of the entropy f generates.  Each level's
+    extension values are computed for all of fs at once (``radial_values``),
+    and their divergence is ``div_entropy``'s: the radial extension is
+    defined on all of R^2, so there is no domain to check.
+    """
+    phis = [generated_entropy(f) for f in fs]
+    per_level = [
+        [divergence(VecField(lv.v.grid, vals, mask=lv.v.mask))
+         for vals in radial_values(phis, lv.v.values)]
+        for lv in ladder
+    ]
+    return [list(prods) for prods in zip(*per_level)]
 
 
 def verify_factorization(
@@ -83,8 +94,8 @@ def verify_factorization(
     while the grid refines.  ``region_of`` maps a grid to the subdomain mask.
     Cells of the subdomain falling in the extension dead zone (|m_eps| < 1/2)
     are rejected; for rigid test fields both sides decay together.
-    ``lhss`` holds the productions ``generated_productions(ladder, f)``, one
-    per level.
+    ``lhss`` holds the productions ``generated_productions(ladder, [f])[0]``,
+    one per level.
     """
     lhs_norms, rhs_norms, res_norms = [], [], []
     for lv, lhs in zip(ladder, lhss, strict=True):
@@ -133,7 +144,7 @@ def vanishing_production_check(
     negative control.  The report keeps the productions, so that
     ``verify_factorization`` can reuse them.
     """
-    productions = [generated_productions(ladder, f) for _, f in fs]
+    productions = generated_productions(ladder, [f for _, f in fs])
     eps_ladder = [lv.eps for lv in ladder]
     nu_masses = []
     rows: list[list[float]] = [[] for _ in fs]

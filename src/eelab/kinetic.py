@@ -15,13 +15,14 @@ lattice-quadrature based only for the Lebesgue part.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .bumps import RadialBump, TensorBump
-from .circle import CircleFunction
+from .circle import CircleFunction, evaluate_all
 from .grids import (
     AngleField,
     BoolArray,
@@ -53,21 +54,30 @@ def theta_of_vec(v: VecField) -> tuple[ScalarField, BoolArray]:
     return ScalarField(v.grid, ang, mask=combine_masks(v.mask, live)), live
 
 
-def arc_integral(q: CircleFunction, lo: FloatArray, hi: FloatArray) -> FloatArray:
-    """int_lo^hi q(s) ds for a band-limited q, exact (spectral antiderivative)."""
-    mean = q.mean
-    osc = q - CircleFunction.constant(mean)
-    prim = osc.antiderivative()
+def arc_integral(qs: Sequence[CircleFunction], lo: FloatArray, hi: FloatArray) -> list[FloatArray]:
+    """int_lo^hi q(s) ds for each band-limited q in qs, exact (spectral antiderivative).
+
+    The primitives of all of qs are evaluated on hi, then on lo, one Fourier
+    basis per band (:func:`~eelab.circle.evaluate_all`).
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    vals = prim(hi) - prim(lo) + mean * (hi - lo)
-    return np.real(vals) if q.is_real() else vals
+    means = [q.mean for q in qs]
+    prims = [(q - CircleFunction.constant(mean)).antiderivative() for q, mean in zip(qs, means)]
+    at_hi = evaluate_all(prims, hi)
+    at_lo = evaluate_all(prims, lo)
+    width = hi - lo
+    out = []
+    for q, mean, p_hi, p_lo in zip(qs, means, at_hi, at_lo):
+        vals = p_hi - p_lo + mean * width
+        out.append(np.real(vals) if q.is_real() else vals)
+    return out
 
 
-def chi_pairing(q: CircleFunction, theta: FloatArray) -> FloatArray:
-    """int chi(x, s) q(s) ds = int over the arc (theta - pi/2, theta + pi/2)."""
+def chi_pairing(qs: Sequence[CircleFunction], theta: FloatArray) -> list[FloatArray]:
+    """int chi(x, s) q(s) ds = int over the arc (theta - pi/2, theta + pi/2), per q in qs."""
     theta = np.asarray(theta, dtype=float)
-    return arc_integral(q, theta - np.pi / 2, theta + np.pi / 2)
+    return arc_integral(qs, theta - np.pi / 2, theta + np.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,7 @@ def chi_difference_bound(m: AngleField, q: CircleFunction, rng: np.random.Genera
     i0, j0, i1, j1 = (rng.integers(0, k, 256) for k in (nx, ny, nx, ny))
     th0 = m.theta[j0, i0]
     th1 = m.theta[j1, i1]
-    lhs = np.abs(chi_pairing(q, th0) - chi_pairing(q, th1))
+    lhs = np.abs(chi_pairing([q], th0)[0] - chi_pairing([q], th1)[0])
     dm = np.hypot(np.cos(th0) - np.cos(th1), np.sin(th0) - np.sin(th1))
     qsup = q.sup_norm()
     good = dm > 1e-13
@@ -185,8 +195,10 @@ class JumpLineMeasure:
         qc = q.mul_mode(1, 0.5) + q.mul_mode(-1, 0.5)        # cos(s) q(s)
         qs = q.mul_mode(1, -0.5j) + q.mul_mode(-1, 0.5j)     # sin(s) q(s)
         tp, tm = self.spec.theta_plus, self.spec.theta_minus
-        ic = chi_pairing(qc, np.array(tp)) - chi_pairing(qc, np.array(tm))
-        isn = chi_pairing(qs, np.array(tp)) - chi_pairing(qs, np.array(tm))
+        c_plus, s_plus = chi_pairing([qc, qs], np.array(tp))
+        c_minus, s_minus = chi_pairing([qc, qs], np.array(tm))
+        ic = c_plus - c_minus
+        isn = s_plus - s_minus
         line_factor = -float(n[0] * ic + n[1] * isn)
         weights = np.full(xs.shape, grid.spacing)
         return float(np.sum(bump(xs, ys) * weights) * line_factor)
@@ -231,18 +243,19 @@ def kinetic_residual(
     X, Y = grid.meshgrid()
     interior = grid.interior_mask(interior_margin)
     area = grid.cell_area()
-    out = []
-    labels = []
     for zeta in zetas:
         supp = zeta.bump(X, Y) > 0
         if np.any(supp & ~interior):
             raise ValueError("test-function support touches the boundary mask")
+    # cos(s) q(s) and sin(s) q(s) of every test function, paired in one call
+    qcs = [z.q.mul_mode(1, 0.5) + z.q.mul_mode(-1, 0.5) for z in zetas]
+    qss = [z.q.mul_mode(1, -0.5j) + z.q.mul_mode(-1, 0.5j) for z in zetas]
+    pairings = chi_pairing(qcs + qss, m.theta)
+    out = []
+    labels = []
+    for zeta, chi_c, chi_s in zip(zetas, pairings[: len(zetas)], pairings[len(zetas):]):
         gx, gy = zeta.bump.gradient(X, Y)
-        qc = zeta.q.mul_mode(1, 0.5) + zeta.q.mul_mode(-1, 0.5)     # cos(s) q(s)
-        qs = zeta.q.mul_mode(1, -0.5j) + zeta.q.mul_mode(-1, 0.5j)  # sin(s) q(s)
-        transport = float(
-            np.sum(gx * chi_pairing(qc, m.theta) + gy * chi_pairing(qs, m.theta)) * area
-        )
+        transport = float(np.sum(gx * chi_c + gy * chi_s) * area)
         if sigma is None:
             measure_term = 0.0
         elif isinstance(sigma, JumpLineMeasure):

@@ -1,12 +1,23 @@
-"""The harmonic-entropy production decomposition: an oracle shared by several
-test modules (``eelab run`` does not evaluate it), not collected as tests."""
+"""Oracles shared by several test modules (``eelab run`` evaluates neither),
+not collected as tests: the harmonic-entropy production decomposition, and
+the radial extension of one entropy as an :class:`ExtendedEntropy` with a
+Jacobian."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from eelab.circle import CircleFunction
-from eelab.entropy import DiskHarmonic, _pt, harmonic_entropy, q_coefficients
+from eelab.entropy import (
+    DiskHarmonic,
+    EntropyMap,
+    ExtendedEntropy,
+    RadialCutoff,
+    _pt,
+    harmonic_entropy,
+    q_coefficients,
+    radial_values,
+)
 from eelab.grids import BoolArray, VecField, combine_masks, divergence, lp_norm
 from eelab.production import div_entropy, div_sigma_closed
 
@@ -84,3 +95,34 @@ def refinement_order(residuals: list[DecompositionResidual]) -> float:
     if np.any(rs <= 0):
         return float("inf")
     return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
+
+
+def radial_extension(phi: EntropyMap) -> ExtendedEntropy:
+    """Extension eta(|z|) Phi(z/|z|), supported on the annulus 1/2 <= |z| <= 2.
+
+    Its values are the one-entropy case of :func:`eelab.entropy.radial_values`,
+    the path ``eelab run`` takes for a whole entropy suite at once.
+    """
+    eta = RadialCutoff()
+    f1, f2 = phi.comp1, phi.comp2
+    d1, d2 = f1.derivative(), f2.derivative()
+
+    def val(v: np.ndarray) -> np.ndarray:
+        return radial_values([phi], v)[0]
+
+    def jac(v: np.ndarray) -> np.ndarray:
+        r = np.hypot(v[..., 0], v[..., 1])
+        omega = np.arctan2(v[..., 1], v[..., 0])
+        safe = np.maximum(r, 1e-300)
+        e, ed = eta(r), eta.derivative(r)
+        p = np.stack([f1.real_values(omega), f2.real_values(omega)], axis=-1)
+        dp = np.stack([d1.real_values(omega), d2.real_values(omega)], axis=-1)
+        rad = np.stack([v[..., 0], v[..., 1]], axis=-1) / safe[..., None]
+        tang = np.stack([-v[..., 1], v[..., 0]], axis=-1) / (safe**2)[..., None]
+        out = (
+            ed[..., None, None] * p[..., :, None] * rad[..., None, :]
+            + e[..., None, None] * dp[..., :, None] * tang[..., None, :]
+        )
+        return np.where((r > 0)[..., None, None], out, 0.0)
+
+    return ExtendedEntropy("radial", val, jac)

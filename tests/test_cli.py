@@ -251,10 +251,13 @@ def test_exit_status_reflects_failures(tmp_path):
 def test_benchmark_tracer_contract(tmp_path):
     """perfbench/tracer.py binds eelab names from outside; a traced run must still work.
 
-    It wraps ``cli._CHECK_FNS`` and ``AngleField.unit_vectors`` and reads the
-    parameters ``m``, ``eps``, ``h_ladder``, ``n_directions``, ``theta0`` and
-    ``theta1``; the vortex interaction identity is too slow here, so the
-    interaction check runs on a constant field.
+    It wraps ``cli._CHECK_FNS``, ``AngleField.unit_vectors`` and
+    ``CircleFunction.__call__`` and reads the parameters ``m``, ``eps``,
+    ``h_ladder``, ``n_directions``, ``theta0``, ``theta1``, ``t`` and ``self``;
+    the vortex interaction identity is too slow here, so the interaction check
+    runs on a constant field.  Shared Fourier bases are built by
+    ``circle.fourier_basis``, whose spans must show so that ``circle.self_s``
+    covers all basis work (a work key of None: the span only has to occur).
     """
     child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     runs = {
@@ -263,6 +266,8 @@ def test_benchmark_tracer_contract(tmp_path):
                     "regularity.besov_seminorm": "besov_offsets"}),
         "constant": ({"kind": "constant", "theta0": 0.3}, ["interaction"], 32,
                      {"quadrature.interaction_pair_value": "value_pairs"}),
+        "circle": ({"kind": "constant", "theta0": 0.3}, ["kinetic", "factorize"], 64,
+                   {"circle.eval": "eval_terms", "circle.fourier_basis": None}),
     }
     for name, (fld, checks, n, spans) in runs.items():
         obj = dict(BASE, field=fld, checks=checks, grid={"n": n, "extent": 2.0})
@@ -283,7 +288,7 @@ def test_benchmark_tracer_contract(tmp_path):
             assert f"cli.check.{check}" in work
         for span, key in spans.items():
             assert work.get(span), span
-            assert all(c[key] > 0 for c in work[span]), span
+            assert key is None or all(c[key] > 0 for c in work[span]), span
 
 
 def test_library_holds_only_what_it_runs():

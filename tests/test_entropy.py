@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decomposition_oracle import b_coefficients, harmonic_extension
+from decomposition_oracle import b_coefficients, harmonic_extension, radial_extension
 from eelab.circle import CircleFunction
 from eelab.entropy import (
     DiskHarmonic,
@@ -29,7 +29,6 @@ from eelab.entropy import (
     multiplier_differential,
     potential_linear_term,
     q_coefficients,
-    radial_extension,
 )
 from eelab.factorization import factor_coefficient
 

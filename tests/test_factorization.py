@@ -130,14 +130,14 @@ def test_rotated_productions_are_isometric():
 def test_verify_factorization_vortex_decays():
     f = CircleFunction.random_real(6, np.random.default_rng(1))
     lad = vortex_ladder()
-    rep = verify_factorization(lad, f, 7 / 6, annulus, generated_productions(lad, f))
+    rep = verify_factorization(lad, f, 7 / 6, annulus, generated_productions(lad, [f])[0])
     assert rep.lhs_norms[-1] < 0.15 * rep.lhs_norms[0]
     assert rep.residual_norms[-1] < 0.15 * rep.residual_norms[0]
 
 
 def test_verify_factorization_trivial_generator():
     lad, f = vortex_ladder(((64, 0.16),)), CircleFunction.constant(2.0)
-    rep = verify_factorization(lad, f, 7 / 6, annulus, generated_productions(lad, f))
+    rep = verify_factorization(lad, f, 7 / 6, annulus, generated_productions(lad, [f])[0])
     assert max(rep.lhs_norms) < 1e-12
     assert max(rep.residual_norms) < 1e-12
 
@@ -149,7 +149,7 @@ def test_verify_factorization_dead_zone_rejected():
     lad, f = [mollified_level(m, 0.25)], CircleFunction.cosine(2)
     with pytest.raises(ValueError, match="dead-zone"):
         verify_factorization(lad, f, 1.0, lambda grid: grid.rect_mask(-0.4, 0.4, -0.4, 0.4),
-                             generated_productions(lad, f))
+                             generated_productions(lad, [f])[0])
 
 
 def test_verify_harmonic_decomposition_modes_and_vortex():
@@ -255,7 +255,7 @@ def test_rotation_covariance_of_residuals():
                         theta_minus=JumpSpec().theta_minus + c)
     m_rot = build_field(spec_rot, g)
     lad, lad_rot, f_rot = [mollified_level(m, 0.125)], [mollified_level(m_rot, 0.125)], f.shift(-c)
-    base = verify_factorization(lad, f, 1.0, box, generated_productions(lad, f)).residual_norms[0]
+    base = verify_factorization(lad, f, 1.0, box, generated_productions(lad, [f])[0]).residual_norms[0]
     rotated = verify_factorization(lad_rot, f_rot, 1.0, box,
-                                   generated_productions(lad_rot, f_rot)).residual_norms[0]
+                                   generated_productions(lad_rot, [f_rot])[0]).residual_norms[0]
     assert rotated == pytest.approx(base, rel=1e-12)

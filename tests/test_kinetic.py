@@ -116,7 +116,7 @@ def test_lattice_pairing_first_order_in_ns():
     g = centered_grid(8, 1.0)
     m = build_field(ConstantSpec(1.234), g)
     q = CircleFunction.random_real(6, np.random.default_rng(0))
-    exact = float(chi_pairing(q, np.array(1.234)))
+    exact = float(chi_pairing([q], np.array(1.234))[0])
     qsup = q.sup_norm()
     for ns in (64, 128, 256, 512):
         lat = indicator_lattice(m, ns)
@@ -130,7 +130,7 @@ def test_arc_integral_against_quadrature():
     lo, hi = 0.3, 2.6
     s = np.linspace(lo, hi, 200001)
     brute = np.trapezoid(q.real_values(s), s)
-    assert float(arc_integral(q, np.array(lo), np.array(hi))) == pytest.approx(brute, abs=1e-8)
+    assert float(arc_integral([q], np.array(lo), np.array(hi))[0]) == pytest.approx(brute, abs=1e-8)
 
 
 def test_chi_difference_bound():
@@ -262,10 +262,9 @@ def test_jump_measure_pairs_like_entropy_jump_cost():
         F = (f - CircleFunction.constant(f.mean)).antiderivative()
         Fc = F.mul_mode(1, 0.5) + F.mul_mode(-1, 0.5)
         Fs = F.mul_mode(1, -0.5j) + F.mul_mode(-1, 0.5j)
-        pairing = -float(
-            n[0] * (chi_pairing(Fc, np.array(tp)) - chi_pairing(Fc, np.array(tm)))
-            + n[1] * (chi_pairing(Fs, np.array(tp)) - chi_pairing(Fs, np.array(tm)))
-        )
+        c_plus, s_plus = chi_pairing([Fc, Fs], np.array(tp))
+        c_minus, s_minus = chi_pairing([Fc, Fs], np.array(tm))
+        pairing = -float(n[0] * (c_plus - c_minus) + n[1] * (s_plus - s_minus))
         em = generated_entropy(f)
         flux = float(n @ (em.values(tp) - em.values(tm)))
         assert pairing == pytest.approx(flux, abs=1e-12)

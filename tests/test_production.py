@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from decomposition_oracle import harmonic_extension, harmonic_production_identity, refinement_order
+from decomposition_oracle import (
+    harmonic_extension,
+    harmonic_production_identity,
+    radial_extension,
+    refinement_order,
+)
 from eelab.circle import CircleFunction
 from eelab.entropy import (
     ExtendedEntropy,
@@ -11,7 +16,6 @@ from eelab.entropy import (
     generator_harmonic_potential,
     jin_kohn,
     jin_kohn_circle,
-    radial_extension,
 )
 from eelab.grids import (
     ConstantSpec,
