@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 from .circle import CircleFunction
 from .entropy import generated_entropy, radial_values
 from .grids import BoolArray, ScalarField, VecField, combine_masks, divergence, lp_norm
-from .kinetic import KineticMeasure, pair_measure
+from .kinetic import KineticMeasure, atom_mean, pair_cells
 from .production import Level, factorized_measure
 
 FloatArray = NDArray[np.float64]
@@ -32,11 +32,7 @@ FloatArray = NDArray[np.float64]
 
 def factor_coefficient(f: CircleFunction, theta) -> FloatArray:
     """The factorization coefficient (f(th+pi/2) + f(th-pi/2))/2 - <f,1>."""
-    theta = np.asarray(theta, dtype=float)
-    return (
-        0.5 * (f.real_values(theta + np.pi / 2) + f.real_values(theta - np.pi / 2))
-        - float(np.real(f.mean))
-    )
+    return atom_mean(f, theta) - float(np.real(f.mean))
 
 
 @dataclass(frozen=True)
@@ -188,13 +184,9 @@ def pairing_consistency_gap(
 
     The same coefficient drives the pointwise factorization and the measure
     disintegration; this gap certifies the equivalence of the two forms.
+    Both sides start from one evaluation of f at the atoms theta +- pi/2.
     """
-    lhs = pair_measure(sigma, f, zeta)
-    coeff = factor_coefficient(f, sigma.theta)
-    where = combine_masks(sigma.mask, zeta.mask)
-    vals = coeff * sigma.g * zeta.values
-    if where is None:
-        rhs = float(np.sum(vals) * sigma.grid.cell_area())
-    else:
-        rhs = float(np.sum(vals[where]) * sigma.grid.cell_area())
+    atoms = atom_mean(f, sigma.theta)
+    lhs = pair_cells(sigma, sigma.integrate_atoms(f, atoms), zeta)
+    rhs = pair_cells(sigma, (atoms - float(np.real(f.mean))) * sigma.g, zeta)
     return abs(lhs - rhs)

@@ -137,12 +137,19 @@ class KineticMeasure:
 
     def integrate(self, f: CircleFunction) -> FloatArray:
         """int f dsigma_x per cell: exact atoms, 256-point lattice mean for the density."""
+        return self.integrate_atoms(f, atom_mean(f, self.theta))
+
+    def integrate_atoms(self, f: CircleFunction, atoms: FloatArray) -> FloatArray:
+        """``integrate(f)`` from ``atoms = atom_mean(f, self.theta)``."""
         s = (np.arange(256) + 0.5) * TWO_PI / 256
         lebesgue_mean = float(np.mean(f.real_values(s)))
-        atoms = 0.5 * (
-            f.real_values(self.theta + np.pi / 2) + f.real_values(self.theta - np.pi / 2)
-        )
         return (atoms - lebesgue_mean) * self.g
+
+
+def atom_mean(f: CircleFunction, theta) -> FloatArray:
+    """(f(theta + pi/2) + f(theta - pi/2))/2: f averaged over a cell's two atoms."""
+    theta = np.asarray(theta, dtype=float)
+    return 0.5 * (f.real_values(theta + np.pi / 2) + f.real_values(theta - np.pi / 2))
 
 
 def rotated_production(theta: FloatArray, div_sigma: tuple[ScalarField, ScalarField]) -> FloatArray:
@@ -153,7 +160,11 @@ def rotated_production(theta: FloatArray, div_sigma: tuple[ScalarField, ScalarFi
 
 def pair_measure(sigma: KineticMeasure, f: CircleFunction, zeta: ScalarField) -> float:
     """sum over cells of (int f dsigma_x) zeta(x) cell-area."""
-    vals = sigma.integrate(f)
+    return pair_cells(sigma, sigma.integrate(f), zeta)
+
+
+def pair_cells(sigma: KineticMeasure, vals: FloatArray, zeta: ScalarField) -> float:
+    """sum over the cells of sigma and zeta of vals(x) zeta(x) cell-area."""
     where = combine_masks(sigma.mask, zeta.mask)
     if where is None:
         return float(np.sum(vals * zeta.values) * sigma.grid.cell_area())

@@ -12,6 +12,7 @@ take its :class:`Level` records, coarsest first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -136,7 +137,15 @@ class Level:
     theta: ScalarField
     live: BoolArray
     div_sigma: tuple[ScalarField, ScalarField]
-    g: FloatArray
+
+    @cached_property
+    def g(self) -> FloatArray:
+        """The rotated production, derived on first use: the kinetic and
+        factorization checks read it on the ladder levels, while the extra
+        scales of the production check never do."""
+        g = rotated_production(self.theta.values, self.div_sigma)
+        g.flags.writeable = False
+        return g
 
 
 def mollified_level(m: AngleField, eps: float) -> Level:
@@ -144,11 +153,10 @@ def mollified_level(m: AngleField, eps: float) -> Level:
     v = mollify(m, Mollifier(eps))
     theta, live = theta_of_vec(v)
     s1, s2 = div_sigma_closed(v)
-    g = rotated_production(theta.values, (s1, s2))
     for a in (m.theta, v.values, v.mask, theta.values, theta.mask, live,
-              s1.values, s1.mask, s2.values, s2.mask, g):
+              s1.values, s1.mask, s2.values, s2.mask):
         a.flags.writeable = False
-    return Level(m, eps, v, theta, live, (s1, s2), g)
+    return Level(m, eps, v, theta, live, (s1, s2))
 
 
 def factorized_measure(lv: Level) -> KineticMeasure:

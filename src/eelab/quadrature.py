@@ -19,7 +19,8 @@ it is evaluated in.  A group is _CHUNK consecutive rows of a 1-d batch (any
 other shape is one group); the group's widest u-span sets the segment count S,
 and each row is summed by one ``np.sum`` over an (S, _PIECES, n) array whose
 zero-width segments hold zeros.  How the nodes are computed (in _BLOCK-row
-blocks, live segments only, branch-masked weight) does not change any bit;
+blocks, live segments only, each whole quarter cell once per _CHUNK rows and
+gathered into its rows, branch-masked weight) does not change any bit;
 changing _CHUNK, _PIECES, _NODES, _SNAP or the segment split does, and is an
 output change to be reviewed as drift, not a speed setting.
 """
@@ -44,6 +45,12 @@ _PIECES = 8
 _NODES = 24
 #: slivers closer to a singular point than this are dropped (error ~ SNAP^{1+alpha})
 _SNAP = 1e-8
+#: piece boundaries as fractions of a segment, forward and reversed.  The
+#: reversed ones are a contiguous copy: numpy 2.4 on AVX-512 raises to a strided
+#: ``frac[::-1]`` with another pow loop for one or two segments than for three
+#: or more, so a view makes a segment's bits depend on how many share its call.
+_FRAC = np.arange(_PIECES + 1) / _PIECES
+_FRAC_REV = _FRAC[::-1].copy()
 
 
 def _segment_nodes(lo: np.ndarray, hi: np.ndarray, weight, n: int = _NODES):
@@ -68,17 +75,16 @@ def _segment_nodes(lo: np.ndarray, hi: np.ndarray, weight, n: int = _NODES):
     base_lo = np.pi * np.floor(mid / np.pi + 1e-15)   # singular point for cat 0
     base_hi = np.pi * np.ceil(mid / np.pi - 1e-15)    # singular point for cat 3
 
-    frac = np.arange(_PIECES + 1) / _PIECES
     # uniform boundaries (categories 1, 2)
-    bnd = lo[..., None] + width[..., None] * frac
+    bnd = lo[..., None] + width[..., None] * _FRAC
     # geometric toward the left base (category 0)
     d1 = np.maximum(hi - base_lo, _SNAP)
     d0 = np.minimum(np.maximum(lo - base_lo, _SNAP), d1)
-    geo_l = base_lo[..., None] + d0[..., None] * (d1 / d0)[..., None] ** frac
+    geo_l = base_lo[..., None] + d0[..., None] * (d1 / d0)[..., None] ** _FRAC
     # geometric toward the right base (category 3)
     e1 = np.maximum(base_hi - lo, _SNAP)
     e0 = np.minimum(np.maximum(base_hi - hi, _SNAP), e1)
-    geo_r = base_hi[..., None] - e0[..., None] * (e1 / e0)[..., None] ** frac[::-1]
+    geo_r = base_hi[..., None] - e0[..., None] * (e1 / e0)[..., None] ** _FRAC_REV
     is0 = (cat == 0)[..., None]
     is3 = (cat == 3)[..., None]
     bnd = np.where(is0, geo_l, np.where(is3, geo_r, bnd))
@@ -135,24 +141,51 @@ _KINDS = ("sin_diff", "sin_cos", "sin_sin")
 #: rectangle (16 moved the vortex identity ``lhs`` from ...212207 to ...212126).
 #: Treat a change as an output change, not a tuning knob.
 _CHUNK = 128
-#: Rows per node block inside a group.  Any value gives the same bits; about
-#: 16 keeps the node arrays in cache.
+#: Rows per node block inside a group.  Any value gives the same bits.  The
+#: n=96 vortex identity took 11.0, 10.8, 14.7 and 17.5 s at 8, 16, 32 and 64
+#: rows (medians of 3 on 2 vCPU): at 16 a block's arrays stay in cache.
 _BLOCK = 16
 
 
-def _live_products(kind: str, lo, hi, slo, shi, tlo, thi, weight, n: int):
-    """Summands W * (0.5 * iv) on live segments [lo, hi] of rectangles
-    [slo, shi] x [tlo, thi].
+def _live_nodes(kind: str, lo: np.ndarray, hi: np.ndarray, weight, n: int):
+    """Nodes U, weights W and trig factor T (cos U for ``sin_sin``, else sin U)
+    of the live segments [lo, hi].
+
+    Returns (U, W, T, src): U[src] lists the nodes of the segments in order,
+    and likewise W and T.  A whole quarter cell [k QUARTER, (k + 1) QUARTER]
+    gets the same endpoint bits, and so the same nodes, in every row
+    (_split_segments builds its grid lines as k * QUARTER), so each distinct k
+    is evaluated once; partial cells are evaluated one by one.  Both kinds go
+    through one _segment_nodes call and one trig call of the same ufuncs.
+    """
+    k = np.rint(lo / QUARTER)
+    whole = (lo == k * QUARTER) & (hi == (k + 1.0) * QUARTER)
+    cells, row = np.unique(k[whole], return_inverse=True)
+    part = ~whole
+    src = np.empty(lo.size, dtype=np.intp)
+    src[whole] = row
+    src[part] = np.arange(cells.size, cells.size + np.count_nonzero(part))
+    U, W = _segment_nodes(
+        np.concatenate((cells * QUARTER, lo[part])),
+        np.concatenate(((cells + 1.0) * QUARTER, hi[part])),
+        weight, n,
+    )
+    return U, W, np.cos(U) if kind == "sin_sin" else np.sin(U), src
+
+
+def _live_products(kind: str, U, W, T, slo, shi, tlo, thi):
+    """Summands W * (0.5 * iv) at nodes U of live segments of rectangles
+    [slo, shi] x [tlo, thi]; T is the trig factor of _live_nodes, overwritten.
 
     With the v-window vlo = 2 max(slo, tlo + U) - U, vhi = 2 min(shi, thi + U) - U
     and wid = max(vhi - vlo, 0), iv is sin(U) wid for ``sin_diff``,
     ((cos vlo - cos vhi)[wid > 0] + sin(U) wid) / 2 for ``sin_cos`` and
     (cos(U) wid - (sin vhi - sin vlo)[wid > 0]) / 2 for ``sin_sin``.  The
     in-place steps keep every operation and its operands (max/min argument
-    order included), so the bits are those of the formulas.  All arguments
-    are 1-d of one length L; the result has shape (L, _PIECES, n).
+    order included), so the bits are those of the formulas.  The rectangle
+    arguments are 1-d of one length L, the node arrays have shape
+    (L, _PIECES, n) and so has the result.
     """
-    U, W = _segment_nodes(lo, hi, weight, n)
     ex = lambda a: a[:, None, None]  # noqa: E731
     vlo = np.add(ex(tlo), U)
     np.maximum(ex(slo), vlo, out=vlo)
@@ -165,18 +198,18 @@ def _live_products(kind: str, lo, hi, slo, shi, tlo, thi, weight, n: int):
     wid = np.subtract(vhi, vlo)
     np.maximum(wid, 0.0, out=wid)
     if kind == "sin_diff":
-        iv = np.sin(U, out=U)
+        iv = T
         iv *= wid
     elif kind == "sin_cos":
         iv = np.cos(vlo, out=vlo)
         iv -= np.cos(vhi, out=vhi)
         iv *= wid > 0
-        sin_u = np.sin(U, out=U)
+        sin_u = T
         sin_u *= wid
         iv += sin_u
         iv *= 0.5
     else:
-        iv = np.cos(U, out=U)
+        iv = T
         iv *= wid
         dsin = np.sin(vhi, out=vhi)
         dsin -= np.sin(vlo, out=vlo)
@@ -191,10 +224,11 @@ def _live_products(kind: str, lo, hi, slo, shi, tlo, thi, weight, n: int):
 def _arc_rectangle_chunk(kind: str, slo, shi, tlo, thi, weight, n: int):
     """Rectangle integrals of one layout group (see _CHUNK).
 
-    Only live (nonzero-width) segments are evaluated, _BLOCK rows at a time.
-    Their summands are scattered into a zeroed (rows, S, _PIECES, n) block
-    and each row is summed over the same shape as a full evaluation, whose
-    zero-width segments contribute zeros, so every nonzero row keeps its bits.
+    Only live (nonzero-width) segments are evaluated: their nodes once per
+    _CHUNK rows (see _live_nodes), their summands _BLOCK rows at a time.
+    Each block's summands are scattered into a zeroed (rows, S, _PIECES, n)
+    array and each row is summed over the same shape as a full evaluation,
+    whose zero-width segments contribute zeros, so every row keeps its bits.
     """
     ulo = slo - thi
     uhi = shi - tlo
@@ -204,22 +238,29 @@ def _arc_rectangle_chunk(kind: str, slo, shi, tlo, thi, weight, n: int):
     nseg = seg_lo.shape[-1]
     seg_lo = seg_lo.reshape(rows, nseg)
     seg_hi = seg_hi.reshape(rows, nseg)
-    slo, shi, tlo, thi = (a.reshape(rows) for a in (slo, shi, tlo, thi))
-    live = seg_hi - seg_lo > 0
+    rect = [a.reshape(rows) for a in (slo, shi, tlo, thi)]
     out = np.empty(rows)
     buf = np.empty((min(rows, _BLOCK), nseg, _PIECES, n))
-    for i in range(0, rows, _BLOCK):
-        sl = slice(i, i + _BLOCK)
-        mask = live[sl]
-        r = np.nonzero(mask)[0] + i
-        block = buf[: mask.shape[0]]
-        flat = block.reshape(-1, _PIECES, n)
-        flat_mask = mask.ravel()
-        flat[~flat_mask] = 0.0
-        flat[flat_mask] = _live_products(
-            kind, seg_lo[sl][mask], seg_hi[sl][mask], slo[r], shi[r], tlo[r], thi[r], weight, n
-        )
-        out[sl] = np.sum(block, axis=(-1, -2, -3))
+    # a group of another shape than 1-d can be large: its nodes are built
+    # _CHUNK rows at a time, so their memory stays that of one 1-d group
+    for i0 in range(0, rows, _CHUNK):
+        lo, hi = seg_lo[i0:i0 + _CHUNK], seg_hi[i0:i0 + _CHUNK]
+        r, c = np.nonzero(hi - lo > 0)      # row-major, so a block is one range
+        U, W, T, src = _live_nodes(kind, lo[r, c], hi[r, c], weight, n)
+        args = [a[i0 + r] for a in rect]
+        at = r * nseg + c                   # flat (row, segment) index
+        ends = np.searchsorted(r, range(0, len(lo) + _BLOCK, _BLOCK)).tolist()
+        size = max(e - s for s, e in zip(ends, ends[1:]))
+        gathered = [np.empty((size,) + U.shape[1:]) for _ in range(3)]
+        for i, s, e in zip(range(i0, i0 + len(lo), _BLOCK), ends, ends[1:]):
+            nodes = [np.take(a, src[s:e], axis=0, out=g[: e - s], mode="clip")
+                     for a, g in zip((U, W, T), gathered)]
+            block = buf[: min(_BLOCK, rows - i)]
+            block.fill(0.0)
+            block.reshape(-1, _PIECES, n)[at[s:e] - (i - i0) * nseg] = _live_products(
+                kind, *nodes, *(a[s:e] for a in args)
+            )
+            out[i:i + _BLOCK] = np.sum(block, axis=(-1, -2, -3))
     return out.reshape(shape)[()]
 
 

@@ -237,6 +237,23 @@ def test_pairing_consistency_exact():
         assert pairing_consistency_gap(sig, f, zeta) < 1e-10
 
 
+def test_pairing_consistency_evaluates_the_atoms_once(monkeypatch):
+    # both sides share f at theta +- pi/2: two grid evaluations plus the
+    # lattice mean, not four plus the mean
+    g = centered_grid(32, 2.0)
+    sig = factorized_measure(mollified_level(build_field(JumpSpec(), g), 0.25))
+    sizes = []
+    real_values = CircleFunction.real_values
+
+    def counting(self, t):
+        sizes.append(np.size(t))
+        return real_values(self, t)
+
+    monkeypatch.setattr(CircleFunction, "real_values", counting)
+    pairing_consistency_gap(sig, CircleFunction.cosine(2), ScalarField(g, np.ones((32, 32))))
+    assert sorted(sizes) == [256, 32 * 32, 32 * 32]
+
+
 def test_rotation_covariance_of_residuals():
     """A rigid quarter-turn of the plane (field values and coordinates together)
     with the matching generator shift leaves the residual norms unchanged;

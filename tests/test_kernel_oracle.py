@@ -6,6 +6,8 @@ the weight are computed on the whole array and the sign is applied by a
 multiply with +-1.  The library kernel evaluates only live segments, in row
 blocks, with branch-masked ufuncs; it must reproduce the oracle bit for bit
 (``tobytes`` equality), which is what keeps the run bundles byte-identical.
+The nodes of a whole quarter cell are built once per group and gathered into
+every row that has it; the gathered rows must equal nodes built in place.
 
 The module runs with warnings as errors, so a ``where=`` ufunc call without
 ``out=`` (numpy warns that the output is uninitialised) fails the tests.
@@ -14,9 +16,11 @@ The module runs with warnings as errors, so a ``where=`` ufunc call without
 import numpy as np
 import pytest
 
+from eelab import quadrature
 from eelab.quadrature import (
     QUARTER,
     _arc_rectangle_chunk,
+    _live_nodes,
     _segment_nodes,
     _split_segments,
     arc_rectangle_integral,
@@ -241,6 +245,23 @@ def test_pair_value_and_flux_match_oracle_bitwise(alpha):
     assert_bits(a2, 2.0 * rect("sin_sin", th0, th1))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_narrow_rectangles_match_oracle_bitwise(kind):
+    """Equal narrow arcs just left of a multiple of pi: one or two live
+    segments, graded toward the right end, so the node call is tiny."""
+    weight = InteractionWeight(0.5)
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-0.7, -0.1, 64)
+    d = rng.uniform(0.01, 0.05, 64)
+    b = rng.uniform(-0.2, 0.2, 64)
+    for i in range(64):
+        rect = (a[i], a[i] + d[i], b[i], b[i] + d[i])
+        assert_bits(
+            arc_rectangle_integral(kind, *rect, weight),
+            oracle_arc_rectangle_integral(kind, *rect, OracleWeight(weight), n=24),
+        )
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_segment_nodes_match_oracle_bitwise(alpha):
     weight = InteractionWeight(alpha)
@@ -284,3 +305,98 @@ def test_weight_value_matches_oracle_bitwise(alpha):
     for x in (0.0, -0.0, QUARTER, np.nextafter(QUARTER, 1.0), -3.0, 7.0, np.float64(2.0), 1):
         assert_bits(weight(x), oracle.value(x))                     # scalar in, scalar out
     assert_bits(weight.value(np.empty(0)), oracle.value(np.empty(0)))
+
+
+# ---------------------------------------------------------------------------
+# the whole-cell node table
+# ---------------------------------------------------------------------------
+
+
+def mixed_group():
+    """Rectangles of one layout group: diagonal squares, which are whole quarter
+    cells but for the two ends, and unequal arcs, which cut many cells; the
+    whole cells of the group cover every k in [-12, 12]."""
+    rng = np.random.default_rng(12)
+    rows = 120
+    ta = rng.uniform(-2 * np.pi, 2 * np.pi, rows)
+    tb = ta - rng.uniform(-2.75 * np.pi, 2.75 * np.pi, rows)
+    ha = rng.uniform(0.2, np.pi / 2, (2, rows))
+    hb = rng.uniform(0.2, np.pi / 2, (2, rows))
+    square = np.arange(rows) % 2 == 0
+    tb[square] = ta[square]
+    ha[:, square] = hb[:, square] = np.pi / 2
+    return ta - ha[0], ta + ha[1], tb - hb[0], tb + hb[1]
+
+
+def live_segments(slo, shi, tlo, thi):
+    """The live segments of one group in row-major order, as the kernel splits them."""
+    seg_lo, seg_hi = _split_segments(slo - thi, shi - tlo, [slo - tlo, shi - thi])
+    live = seg_hi - seg_lo > 0
+    return seg_lo[live], seg_hi[live]
+
+
+def whole_cells(lo, hi):
+    """The k of each whole quarter cell [k QUARTER, (k + 1) QUARTER] among the
+    segments, None for a partial one."""
+    cells = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        k = round(a / QUARTER)
+        cells.append(k if a == k * QUARTER and b == (k + 1) * QUARTER else None)
+    return cells
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_whole_cell_table_matches_nodes_built_in_place_bitwise(alpha):
+    weight = InteractionWeight(alpha)
+    rect = mixed_group()
+    lo, hi = live_segments(*rect)
+    cells = whole_cells(lo, hi)
+    assert set(range(-12, 13)) <= set(cells)
+    assert cells.count(None) > 100
+    for n in (16, 24):
+        for kind, trig in (("sin_cos", np.sin), ("sin_sin", np.cos)):
+            U, W, T, src = _live_nodes(kind, lo, hi, weight, n)
+            assert len(U) == cells.count(None) + len(set(cells) - {None})
+            # gathered lengths that are not multiples of 8 (and 1 to 3, where
+            # numpy once picked another pow loop), each one starting at (or
+            # ending past) the first whole cell of every k
+            for k in range(-12, 13):
+                first = cells.index(k)
+                for length in (1, 2, 3, 7, 9, 127):
+                    start = max(0, min(first, lo.size - length))
+                    sel = src[start:start + length]
+                    U0, W0 = _segment_nodes(lo[start:start + length], hi[start:start + length], weight, n)
+                    assert_bits(U[sel], U0)
+                    assert_bits(W[sel], W0)
+                    assert_bits(T[sel], trig(U0, out=U0))
+    assert_bits(
+        _arc_rectangle_chunk("sin_diff", *rect, weight, 24),
+        oracle_arc_rectangle_chunk("sin_diff", *rect, OracleWeight(weight), 24),
+    )
+
+
+def test_whole_cells_are_evaluated_once_per_group(monkeypatch):
+    """Weight evaluations of one 129-row flux pair: one per node of each
+    partial segment and of each distinct whole cell of a group, and fewer than
+    evaluating every live segment."""
+    weight = InteractionWeight(0.5)
+    th0, th1 = theta_pairs((129,), 3)
+    evaluated = []
+    value = InteractionWeight.value
+
+    def counting_value(self, t):
+        evaluated.append(np.size(t))
+        return value(self, t)
+
+    monkeypatch.setattr(InteractionWeight, "value", counting_value)
+    interaction_pair_flux(th0, th1, weight)
+    per_segment = quadrature._PIECES * quadrature._NODES
+    bound = every = 0
+    for kind in ("sin_cos", "sin_sin"):
+        for rect in rectangles(kind, th0, th1):
+            for group in (slice(0, 128), slice(128, 129)):
+                lo, hi = live_segments(*(a[group] for a in rect))
+                cells = whole_cells(lo, hi)
+                bound += (cells.count(None) + len(set(cells) - {None})) * per_segment
+                every += lo.size * per_segment
+    assert sum(evaluated) <= bound < every / 2

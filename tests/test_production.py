@@ -140,6 +140,27 @@ def test_level_arrays_are_read_only():
             a[0, 0] = a[0, 0]
 
 
+def test_level_derives_g_once_on_first_read(monkeypatch):
+    # only the kinetic and factorization checks read g, on the ladder levels;
+    # the production check's extra scales must not pay for it
+    from eelab import kinetic, production
+
+    calls = []
+
+    def counting(theta, div_sigma):
+        calls.append(theta)
+        return kinetic.rotated_production(theta, div_sigma)
+
+    monkeypatch.setattr(production, "rotated_production", counting)
+    lv = mollified_level(build_field(VortexSpec(), centered_grid(32, 2.0)), 0.25)
+    assert calls == []
+    g = lv.g
+    assert lv.g is g and len(calls) == 1
+    assert np.array_equal(g, kinetic.rotated_production(lv.theta.values, lv.div_sigma))
+    with pytest.raises(ValueError, match="read-only"):
+        g[0, 0] = g[0, 0]
+
+
 def test_vortex_production_decays():
     g = centered_grid(256, 2.0)
     m = build_field(VortexSpec(), g)

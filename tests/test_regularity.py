@@ -1,6 +1,8 @@
 """Interaction weight, interaction functional, Besov ladders."""
 
+import json
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import roots_jacobi
 
 from eelab.bumps import RadialBump
+from eelab.cli import config_from_json
 from eelab.grids import (
     ConstantSpec,
     JumpSpec,
@@ -309,6 +312,20 @@ def test_interaction_identity_refines_on_vortex():
         rels.append(rep.rel_residual)
     assert rels[1] < rels[0]
     assert rels[1] < 5e-2
+
+
+def test_vortex_interaction_identity_bits():
+    """The identity of the shipped vortex check on its coarse n=48 grid (the
+    interaction check's bump, h = 0.1 extent), pinned to its recorded bits."""
+    cfg = config_from_json(json.loads(
+        (Path(__file__).resolve().parents[1] / "configs" / "vortex.json").read_text()
+    ))
+    gamma = RadialBump(center=cfg.field.center, r0=0.27 * cfg.extent, width=0.115 * cfg.extent)
+    m = build_field(cfg.field, centered_grid(48, cfg.extent))
+    rep = interaction_identity_check(m, gamma, InteractionWeight(cfg.effective_alpha()),
+                                     0.1 * cfg.extent)
+    assert repr(rep.lhs) == "0.013132165914212207"
+    assert repr(rep.rhs) == "0.017242891386784913"
 
 
 def test_interaction_identity_domain_guard():
