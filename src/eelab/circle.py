@@ -161,11 +161,6 @@ class CircleFunction:
         out = CircleFunction(c)
         return out + CircleFunction.constant(-out(0.0))
 
-    def shift(self, a: float) -> "CircleFunction":
-        """t -> f(t + a)."""
-        ks = np.arange(-self.band, self.band + 1)
-        return CircleFunction(self.coeffs * np.exp(1j * ks * a))
-
     def mul_mode(self, n: int, amplitude: complex = 1.0) -> "CircleFunction":
         """Multiply by amplitude * e^{int} (band grows by |n|)."""
         band = self.band + abs(n)

@@ -221,13 +221,6 @@ class DiskHarmonic:
             neg[k - 1] = (a[k] + 1j * b[k]) / 2
         return DiskHarmonic(pos, neg)
 
-    @staticmethod
-    def real_mode(k: int, kind: Literal["cos", "sin"]) -> "DiskHarmonic":
-        alpha = np.zeros(k + 1)
-        beta = np.zeros(k + 1)
-        (alpha if kind == "cos" else beta)[k] = 1.0
-        return DiskHarmonic.from_real_basis(alpha, beta)
-
     def is_real(self, tol: float = 1e-12) -> bool:
         n = self.pos.size
         neg = np.zeros(max(n - 1, 0), dtype=np.complex128)
@@ -236,20 +229,6 @@ class DiskHarmonic:
             abs(self.pos[0].imag) <= tol
             and np.max(np.abs(neg - np.conj(self.pos[1:])), initial=0.0) <= tol
         )
-
-    def __add__(self, other: "DiskHarmonic") -> "DiskHarmonic":
-        n = max(self.pos.size, other.pos.size)
-        m = max(self.neg.size, other.neg.size)
-        pos = np.zeros(n, dtype=np.complex128)
-        neg = np.zeros(m, dtype=np.complex128)
-        pos[: self.pos.size] += self.pos
-        pos[: other.pos.size] += other.pos
-        neg[: self.neg.size] += self.neg
-        neg[: other.neg.size] += other.neg
-        return DiskHarmonic(pos, neg)
-
-    def scale(self, a: complex) -> "DiskHarmonic":
-        return DiskHarmonic(self.pos * a, self.neg * a)
 
     def partial(self, ax: int, ay: int) -> "DiskHarmonic":
         """The harmonic function d^{ax}_x d^{ay}_y phi (closed form)."""
@@ -283,9 +262,6 @@ class DiskHarmonic:
             out = out + self.neg[k] * zp
             zp = zp * zb
         return out
-
-    def real_value(self, z: np.ndarray) -> np.ndarray:
-        return np.real(self.value(z))
 
 
 def generator_harmonic_potential(f: CircleFunction) -> DiskHarmonic:
@@ -381,22 +357,10 @@ class RadialCutoff:
         x = np.clip(x, 0.0, 1.0)
         return x**3 * (10 - 15 * x + 6 * x**2)
 
-    @staticmethod
-    def _step_d(x: np.ndarray) -> np.ndarray:
-        inside = (x > 0) & (x < 1)
-        x = np.clip(x, 0.0, 1.0)
-        return np.where(inside, 30 * x**2 * (1 - x) ** 2, 0.0)
-
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         rising = self._step((r - 0.5) * 2.0)
         falling = self._step(2.0 - r)
-        return np.where(r <= 1.0, rising, falling)
-
-    def derivative(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        rising = 2.0 * self._step_d((r - 0.5) * 2.0)
-        falling = -self._step_d(2.0 - r)
         return np.where(r <= 1.0, rising, falling)
 
 

@@ -20,13 +20,18 @@ other shape is one group); the group's widest u-span sets the segment count S,
 and each row is summed by one ``np.sum`` over an (S, _PIECES, n) array whose
 zero-width segments hold zeros.  How the nodes are computed (in _BLOCK-row
 blocks, live segments only, each whole quarter cell once per _CHUNK rows and
-gathered into its rows, branch-masked weight) does not change any bit;
-changing _CHUNK, _PIECES, _NODES, _SNAP or the segment split does, and is an
-output change to be reviewed as drift, not a speed setting.
+gathered into its rows, branch-masked weight, into reused buffers) and which
+worker thread evaluates a group do not change any bit; changing _CHUNK,
+_PIECES, _NODES, _SNAP or the segment split does, and is an output change to
+be reviewed as drift, not a speed setting.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +41,10 @@ QUARTER = np.pi / 4.0
 
 @lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1]; shared between calls and threads, so read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 
@@ -53,7 +61,7 @@ _FRAC = np.arange(_PIECES + 1) / _PIECES
 _FRAC_REV = _FRAC[::-1].copy()
 
 
-def _segment_nodes(lo: np.ndarray, hi: np.ndarray, weight, n: int = _NODES):
+def _segment_nodes(lo: np.ndarray, hi: np.ndarray, weight, n: int = _NODES, out=None):
     """Quadrature nodes U and effective weights W (phi factor included) for
     int_lo^hi w_alpha(u) G(u) du, vectorized over segment arrays.
 
@@ -61,8 +69,8 @@ def _segment_nodes(lo: np.ndarray, hi: np.ndarray, weight, n: int = _NODES):
     by splitting at them.  Inside the quarter cells adjacent to a multiple of
     pi the weight behaves like dist^alpha, so the piece boundaries are graded
     geometrically toward that endpoint; elsewhere they are uniform.  Output
-    arrays have shape lo.shape + (_PIECES, n); W is zero on zero-width
-    segments.
+    arrays have shape lo.shape + (_PIECES, n), written into ``out`` = (U, W,
+    scratch) when given; W is zero on zero-width segments.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -94,12 +102,13 @@ def _segment_nodes(lo: np.ndarray, hi: np.ndarray, weight, n: int = _NODES):
     half = 0.5 * np.maximum(b - a, 0.0)
     center = 0.5 * (a + b)
     glx, glw = gauss_legendre(n)
+    U, W, scratch = np.empty((3,) + half.shape + (n,)) if out is None else out
     # every product and sum below is a single IEEE operation, so writing
     # center + half*glx as U += center (and so on) keeps the bits
-    U = half[..., None] * glx
+    np.multiply(half[..., None], glx, out=U)
     U += center[..., None]
-    W = weight.value(U)
-    W *= half[..., None] * glw
+    weight.value(U, out=W, work=scratch)
+    W *= np.multiply(half[..., None], glw, out=scratch)
     W[~live] = 0.0
     return U, W
 
@@ -141,22 +150,23 @@ _KINDS = ("sin_diff", "sin_cos", "sin_sin")
 #: rectangle (16 moved the vortex identity ``lhs`` from ...212207 to ...212126).
 #: Treat a change as an output change, not a tuning knob.
 _CHUNK = 128
-#: Rows per node block inside a group.  Any value gives the same bits.  The
-#: n=96 vortex identity took 11.0, 10.8, 14.7 and 17.5 s at 8, 16, 32 and 64
-#: rows (medians of 3 on 2 vCPU): at 16 a block's arrays stay in cache.
+#: Rows per node block inside a group; any value gives the same bits.  With
+#: 2 workers the n=96 vortex identity took 10.6, 9.1, 9.5 and 9.7 s at 8, 16,
+#: 32 and 64 rows (medians of 3, 2 vCPU); 32 and 64 doubled the page faults.
 _BLOCK = 16
+#: Worker threads for the layout groups of a 1-d batch: the CPUs this process
+#: may run on.  Which worker evaluates a group changes no bit.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _live_nodes(kind: str, lo: np.ndarray, hi: np.ndarray, weight, n: int):
-    """Nodes U, weights W and trig factor T (cos U for ``sin_sin``, else sin U)
-    of the live segments [lo, hi].
+def _whole_cells(lo: np.ndarray, hi: np.ndarray):
+    """(cell_lo, cell_hi, src): live segment i of [lo, hi] gets the nodes of
+    segment src[i] of [cell_lo, cell_hi].
 
-    Returns (U, W, T, src): U[src] lists the nodes of the segments in order,
-    and likewise W and T.  A whole quarter cell [k QUARTER, (k + 1) QUARTER]
-    gets the same endpoint bits, and so the same nodes, in every row
-    (_split_segments builds its grid lines as k * QUARTER), so each distinct k
-    is evaluated once; partial cells are evaluated one by one.  Both kinds go
-    through one _segment_nodes call and one trig call of the same ufuncs.
+    A whole quarter cell [k QUARTER, (k + 1) QUARTER] gets the same endpoint
+    bits, and so the same nodes, in every row (_split_segments builds its grid
+    lines as k * QUARTER), so each distinct k is listed once, ahead of the
+    partial cells.
     """
     k = np.rint(lo / QUARTER)
     whole = (lo == k * QUARTER) & (hi == (k + 1.0) * QUARTER)
@@ -165,15 +175,19 @@ def _live_nodes(kind: str, lo: np.ndarray, hi: np.ndarray, weight, n: int):
     src = np.empty(lo.size, dtype=np.intp)
     src[whole] = row
     src[part] = np.arange(cells.size, cells.size + np.count_nonzero(part))
-    U, W = _segment_nodes(
-        np.concatenate((cells * QUARTER, lo[part])),
-        np.concatenate(((cells + 1.0) * QUARTER, hi[part])),
-        weight, n,
-    )
-    return U, W, np.cos(U) if kind == "sin_sin" else np.sin(U), src
+    return (np.concatenate((cells * QUARTER, lo[part])),
+            np.concatenate(((cells + 1.0) * QUARTER, hi[part])), src)
 
 
-def _live_products(kind: str, U, W, T, slo, shi, tlo, thi):
+def _live_nodes(kind: str, lo: np.ndarray, hi: np.ndarray, weight, n: int, out):
+    """Nodes U, weights W and trig factor T (cos U for ``sin_sin``, else sin U)
+    of the segments [lo, hi], written into out = (U, W, T).  The whole and the
+    partial cells of _whole_cells share this _segment_nodes and trig call."""
+    U, W = _segment_nodes(lo, hi, weight, n, out)
+    return U, W, (np.cos if kind == "sin_sin" else np.sin)(U, out=out[2])
+
+
+def _live_products(kind: str, U, W, T, slo, shi, tlo, thi, work):
     """Summands W * (0.5 * iv) at nodes U of live segments of rectangles
     [slo, shi] x [tlo, thi]; T is the trig factor of _live_nodes, overwritten.
 
@@ -184,18 +198,19 @@ def _live_products(kind: str, U, W, T, slo, shi, tlo, thi):
     in-place steps keep every operation and its operands (max/min argument
     order included), so the bits are those of the formulas.  The rectangle
     arguments are 1-d of one length L, the node arrays have shape
-    (L, _PIECES, n) and so has the result.
+    (L, _PIECES, n) and so has the result; vlo, vhi and wid go into ``work``.
     """
     ex = lambda a: a[:, None, None]  # noqa: E731
-    vlo = np.add(ex(tlo), U)
+    vlo, vhi, wid = (a[: len(U)] for a in work)
+    np.add(ex(tlo), U, out=vlo)
     np.maximum(ex(slo), vlo, out=vlo)
     vlo *= 2.0
     vlo -= U
-    vhi = np.add(ex(thi), U)
+    np.add(ex(thi), U, out=vhi)
     np.minimum(ex(shi), vhi, out=vhi)
     vhi *= 2.0
     vhi -= U
-    wid = np.subtract(vhi, vlo)
+    np.subtract(vhi, vlo, out=wid)
     np.maximum(wid, 0.0, out=wid)
     if kind == "sin_diff":
         iv = T
@@ -221,47 +236,74 @@ def _live_products(kind: str, U, W, T, slo, shi, tlo, thi):
     return iv
 
 
-def _arc_rectangle_chunk(kind: str, slo, shi, tlo, thi, weight, n: int):
-    """Rectangle integrals of one layout group (see _CHUNK).
+#: What _evaluate does for _CHUNK rows of a group, from the first row i0 on:
+#: the group's segment count S, the row and flat (row, segment) index of each
+#: live segment, the bounds of each _BLOCK-row block in those, and the node
+#: table segments of _whole_cells.
+_Plan = namedtuple("_Plan", "i0 rows nseg row at ends cell_lo cell_hi src")
+
+
+def _plan(rect, groups):
+    """The _Plan entries of the layout groups ``groups``, (start, stop) ranges
+    of the 1-d rectangle arrays ``rect``.
+
+    A group of another shape than 1-d can be large: its node tables are built
+    _CHUNK rows at a time, so their memory stays that of one 1-d group.
+    """
+    plans = []
+    for g0, g1 in groups:
+        slo, shi, tlo, thi = (a[g0:g1] for a in rect)
+        seg_lo, seg_hi = _split_segments(slo - thi, shi - tlo, [slo - tlo, shi - thi])
+        nseg = seg_lo.shape[-1]
+        for i0 in range(g0, g1, _CHUNK):
+            lo, hi = seg_lo[i0 - g0:i0 - g0 + _CHUNK], seg_hi[i0 - g0:i0 - g0 + _CHUNK]
+            r, c = np.nonzero(hi - lo > 0)      # row-major, so a block is one range
+            ends = np.searchsorted(r, range(0, len(lo) + _BLOCK, _BLOCK)).tolist()
+            plans.append(_Plan(i0, len(lo), nseg, i0 + r, r * nseg + c, ends,
+                               *_whole_cells(lo[r, c], hi[r, c])))
+    return plans
+
+
+def _buffers(plans, n: int):
+    """The node table, the gathered nodes and v-window, and the block array
+    that _evaluate writes into, each sized for the largest of ``plans``."""
+    cells = max((len(p.cell_lo) for p in plans), default=0)
+    live = max((max(np.diff(p.ends)) for p in plans), default=0)
+    rows = max((min(_BLOCK, p.rows) * p.nseg for p in plans), default=0)
+    return np.empty((3, cells, _PIECES, n)), np.empty((6, live, _PIECES, n)), np.empty(rows * _PIECES * n)
+
+
+def _evaluate(kind: str, rect, plan: _Plan, buffers, weight, n: int, out) -> None:
+    """Rectangle integrals of the rows of ``plan``, written into ``out``.
 
     Only live (nonzero-width) segments are evaluated: their nodes once per
-    _CHUNK rows (see _live_nodes), their summands _BLOCK rows at a time.
+    _CHUNK rows (see _whole_cells), their summands _BLOCK rows at a time.
     Each block's summands are scattered into a zeroed (rows, S, _PIECES, n)
     array and each row is summed over the same shape as a full evaluation,
     whose zero-width segments contribute zeros, so every row keeps its bits.
     """
-    ulo = slo - thi
-    uhi = shi - tlo
-    seg_lo, seg_hi = _split_segments(ulo, uhi, [slo - tlo, shi - thi])
-    shape = slo.shape
-    rows = slo.size
-    nseg = seg_lo.shape[-1]
-    seg_lo = seg_lo.reshape(rows, nseg)
-    seg_hi = seg_hi.reshape(rows, nseg)
-    rect = [a.reshape(rows) for a in (slo, shi, tlo, thi)]
-    out = np.empty(rows)
-    buf = np.empty((min(rows, _BLOCK), nseg, _PIECES, n))
-    # a group of another shape than 1-d can be large: its nodes are built
-    # _CHUNK rows at a time, so their memory stays that of one 1-d group
-    for i0 in range(0, rows, _CHUNK):
-        lo, hi = seg_lo[i0:i0 + _CHUNK], seg_hi[i0:i0 + _CHUNK]
-        r, c = np.nonzero(hi - lo > 0)      # row-major, so a block is one range
-        U, W, T, src = _live_nodes(kind, lo[r, c], hi[r, c], weight, n)
-        args = [a[i0 + r] for a in rect]
-        at = r * nseg + c                   # flat (row, segment) index
-        ends = np.searchsorted(r, range(0, len(lo) + _BLOCK, _BLOCK)).tolist()
-        size = max(e - s for s, e in zip(ends, ends[1:]))
-        gathered = [np.empty((size,) + U.shape[1:]) for _ in range(3)]
-        for i, s, e in zip(range(i0, i0 + len(lo), _BLOCK), ends, ends[1:]):
-            nodes = [np.take(a, src[s:e], axis=0, out=g[: e - s], mode="clip")
-                     for a, g in zip((U, W, T), gathered)]
-            block = buf[: min(_BLOCK, rows - i)]
-            block.fill(0.0)
-            block.reshape(-1, _PIECES, n)[at[s:e] - (i - i0) * nseg] = _live_products(
-                kind, *nodes, *(a[s:e] for a in args)
-            )
-            out[i:i + _BLOCK] = np.sum(block, axis=(-1, -2, -3))
-    return out.reshape(shape)[()]
+    i0, rows, nseg, row, at, ends, cell_lo, cell_hi, src = plan
+    table, work, buf = buffers
+    nodes = _live_nodes(kind, cell_lo, cell_hi, weight, n, table[:, : len(cell_lo)])
+    for i, s, e in zip(range(i0, i0 + rows, _BLOCK), ends, ends[1:]):
+        gathered = [np.take(a, src[s:e], axis=0, out=g[: e - s], mode="clip")
+                    for a, g in zip(nodes, work[:3])]
+        block = buf[: min(_BLOCK, i0 + rows - i) * nseg * _PIECES * n].reshape(-1, nseg, _PIECES, n)
+        block.fill(0.0)
+        block.reshape(-1, _PIECES, n)[at[s:e] - (i - i0) * nseg] = _live_products(
+            kind, *gathered, *(a[row[s:e]] for a in rect), work[3:]
+        )
+        out[i:i + len(block)] = np.sum(block, axis=(-1, -2, -3))
+
+
+def _arc_rectangle_chunk(kind: str, slo, shi, tlo, thi, weight, n: int):
+    """Rectangle integrals of one layout group (see _CHUNK), on the calling thread."""
+    rect = [a.reshape(-1) for a in (slo, shi, tlo, thi)]
+    plans = _plan(rect, [(0, slo.size)])
+    buffers, out = _buffers(plans, n), np.empty(slo.size)
+    for plan in plans:
+        _evaluate(kind, rect, plan, buffers, weight, n, out)
+    return out.reshape(slo.shape)[()]
 
 
 def arc_rectangle_integral(kind: str, slo, shi, tlo, thi, weight, n: int = _NODES):
@@ -269,7 +311,8 @@ def arc_rectangle_integral(kind: str, slo, shi, tlo, thi, weight, n: int = _NODE
 
     kind selects g: ``sin_diff`` -> sin(s-t), ``sin_cos`` -> sin(s)cos(t),
     ``sin_sin`` -> sin(s)sin(t).  A 1-d batch is split into layout groups of
-    _CHUNK rows; any other shape is one group.
+    _CHUNK rows, which up to _WORKERS threads take in order, each as soon as it
+    is free; any other shape is one group, evaluated on the calling thread.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
@@ -278,10 +321,20 @@ def arc_rectangle_integral(kind: str, slo, shi, tlo, thi, weight, n: int = _NODE
     )
     if slo.ndim != 1 or slo.size <= _CHUNK:
         return _arc_rectangle_chunk(kind, slo, shi, tlo, thi, weight, n)
-    out = np.empty(slo.shape)
-    for i in range(0, slo.size, _CHUNK):
-        sl = slice(i, i + _CHUNK)
-        out[sl] = _arc_rectangle_chunk(kind, slo[sl], shi[sl], tlo[sl], thi[sl], weight, n)
+    rect = (slo, shi, tlo, thi)
+    plans = _plan(rect, [(i, min(i + _CHUNK, slo.size)) for i in range(0, slo.size, _CHUNK)])
+    out = np.empty(slo.size)
+    taken = itertools.count()   # next() on it is one atomic step under the GIL
+
+    def work(buffers):
+        while (j := next(taken)) < len(plans):
+            _evaluate(kind, rect, plans[j], buffers, weight, n, out)
+
+    k = min(_WORKERS, len(plans))
+    with ThreadPoolExecutor(k) as pool:
+        # allocated here, so that the memory the buffers free goes back to the
+        # calling thread's heap, where later work reuses it
+        list(pool.map(work, [_buffers(plans, n) for _ in range(k)]))
     return out
 
 

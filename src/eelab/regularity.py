@@ -54,16 +54,17 @@ class InteractionWeight:
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_b", (s0 + a) * 4.0 / np.pi)
 
-    def value(self, t) -> FloatArray:
+    def value(self, t, out=None, work=None) -> FloatArray:
+        """w(t), into ``out`` if given; ``work``, of t's shape, is scratch if given."""
         t = np.asarray(t, dtype=float)
-        u = np.mod(t, np.pi, out=np.empty(t.shape))
+        u = np.mod(t, np.pi, out=np.empty(t.shape) if work is None else work)
         flip = u > np.pi / 2
         v = np.subtract(np.pi, u, out=u, where=flip)
         low = v <= np.pi / 4
         high = ~low
         # each branch is evaluated only where it is selected, with the same
         # per-element operations as (a + b (v - pi/4)) (pi/2 - v) and v^alpha
-        out = np.power(v, self.alpha, out=np.empty(t.shape), where=low)
+        out = np.power(v, self.alpha, out=np.empty(t.shape) if out is None else out, where=low)
         np.subtract(v, np.pi / 4, out=out, where=high)
         np.multiply(out, self._b, out=out, where=high)
         np.add(out, self._a, out=out, where=high)

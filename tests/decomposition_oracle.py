@@ -97,6 +97,19 @@ def refinement_order(residuals: list[DecompositionResidual]) -> float:
     return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
 
 
+def cutoff_derivative(r) -> np.ndarray:
+    """d eta/dr of :class:`RadialCutoff`, from the derivative of its quintic ramps."""
+    def step_d(x: np.ndarray) -> np.ndarray:
+        inside = (x > 0) & (x < 1)
+        x = np.clip(x, 0.0, 1.0)
+        return np.where(inside, 30 * x**2 * (1 - x) ** 2, 0.0)
+
+    r = np.asarray(r, dtype=float)
+    rising = 2.0 * step_d((r - 0.5) * 2.0)
+    falling = -step_d(2.0 - r)
+    return np.where(r <= 1.0, rising, falling)
+
+
 def radial_extension(phi: EntropyMap) -> ExtendedEntropy:
     """Extension eta(|z|) Phi(z/|z|), supported on the annulus 1/2 <= |z| <= 2.
 
@@ -114,7 +127,7 @@ def radial_extension(phi: EntropyMap) -> ExtendedEntropy:
         r = np.hypot(v[..., 0], v[..., 1])
         omega = np.arctan2(v[..., 1], v[..., 0])
         safe = np.maximum(r, 1e-300)
-        e, ed = eta(r), eta.derivative(r)
+        e, ed = eta(r), cutoff_derivative(r)
         p = np.stack([f1.real_values(omega), f2.real_values(omega)], axis=-1)
         dp = np.stack([d1.real_values(omega), d2.real_values(omega)], axis=-1)
         rad = np.stack([v[..., 0], v[..., 1]], axis=-1) / safe[..., None]

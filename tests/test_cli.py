@@ -293,19 +293,34 @@ def test_benchmark_tracer_contract(tmp_path):
 
 def test_library_holds_only_what_it_runs():
     """Every public top-level def/class of ``src/eelab`` is referenced in ``src/``
-    outside its own definition and ``__init__``; test-only oracles live in tests/.
-    The entry points ``cli.main`` and the EELF pair ``read_field``/``write_field``
-    are exempt."""
+    outside its own definition and ``__init__``, and so is every public method
+    of its classes, as an attribute or by name in its class body; test-only
+    oracles live in tests/.  Exempt are the entry points ``cli.main`` and the
+    EELF pair ``read_field``/``write_field``, dunder (protocol) methods, and the
+    methods that perfbench/tracer.py wraps by name (its ``METHODS``)."""
     def names(tree):
         return Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+
+    def attrs(tree):
+        return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
 
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in (ROOT / "src" / "eelab").glob("*.py") if p.name != "__init__.py"}
     refs = sum((names(t) for t in trees.values()), Counter())
-    exempt = {("cli", "main"), ("grids", "read_field"), ("grids", "write_field")}
+    attr_refs = sum((attrs(t) for t in trees.values()), Counter())
+    exempt = {("cli", "main"), ("grids", "read_field"), ("grids", "write_field"),
+              # perfbench/tracer.py METHODS: looked up as cls.__dict__["jacobian"]
+              ("entropy", "ExtendedEntropy.jacobian")}
     unused = [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
               and (mod, node.name) not in exempt and refs[node.name] == names(node)[node.name]]
+    for mod, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            aliases = sum((names(n) for n in cls.body if not isinstance(n, ast.FunctionDef)), Counter())
+            unused += [f"{mod}.{cls.name}.{node.name}" for node in cls.body
+                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                       and (mod, f"{cls.name}.{node.name}") not in exempt
+                       and attr_refs[node.name] == attrs(node)[node.name] and not aliases[node.name]]
     assert unused == []
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from decomposition_oracle import harmonic_extension
+from test_circle import shift
 from eelab.circle import CircleFunction
 from eelab.entropy import harmonic_entropy, multiplier
 from eelab.factorization import (
@@ -271,7 +272,7 @@ def test_rotation_covariance_of_residuals():
     spec_rot = JumpSpec(normal=(-1.0, 0.0), theta_plus=JumpSpec().theta_plus + c,
                         theta_minus=JumpSpec().theta_minus + c)
     m_rot = build_field(spec_rot, g)
-    lad, lad_rot, f_rot = [mollified_level(m, 0.125)], [mollified_level(m_rot, 0.125)], f.shift(-c)
+    lad, lad_rot, f_rot = [mollified_level(m, 0.125)], [mollified_level(m_rot, 0.125)], shift(f, -c)
     base = verify_factorization(lad, f, 1.0, box, generated_productions(lad, [f])[0]).residual_norms[0]
     rotated = verify_factorization(lad_rot, f_rot, 1.0, box,
                                    generated_productions(lad_rot, [f_rot])[0]).residual_norms[0]

@@ -7,11 +7,16 @@ multiply with +-1.  The library kernel evaluates only live segments, in row
 blocks, with branch-masked ufuncs; it must reproduce the oracle bit for bit
 (``tobytes`` equality), which is what keeps the run bundles byte-identical.
 The nodes of a whole quarter cell are built once per group and gathered into
-every row that has it; the gathered rows must equal nodes built in place.
+every row that has it; the gathered rows must equal nodes built in place.  The
+groups of a large 1-d batch are shared out over worker threads; the number of
+workers must change no bit.
 
 The module runs with warnings as errors, so a ``where=`` ufunc call without
 ``out=`` (numpy warns that the output is uninitialised) fails the tests.
 """
+
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from eelab.quadrature import (
     _live_nodes,
     _segment_nodes,
     _split_segments,
+    _whole_cells,
     arc_rectangle_integral,
     gauss_legendre,
     interaction_pair_flux,
@@ -355,7 +361,9 @@ def test_whole_cell_table_matches_nodes_built_in_place_bitwise(alpha):
     assert cells.count(None) > 100
     for n in (16, 24):
         for kind, trig in (("sin_cos", np.sin), ("sin_sin", np.cos)):
-            U, W, T, src = _live_nodes(kind, lo, hi, weight, n)
+            cell_lo, cell_hi, src = _whole_cells(lo, hi)
+            U, W, T = _live_nodes(kind, cell_lo, cell_hi, weight, n,
+                                  np.empty((3, len(cell_lo), _PIECES, n)))
             assert len(U) == cells.count(None) + len(set(cells) - {None})
             # gathered lengths that are not multiples of 8 (and 1 to 3, where
             # numpy once picked another pow loop), each one starting at (or
@@ -384,9 +392,9 @@ def test_whole_cells_are_evaluated_once_per_group(monkeypatch):
     evaluated = []
     value = InteractionWeight.value
 
-    def counting_value(self, t):
+    def counting_value(self, t, out=None, work=None):
         evaluated.append(np.size(t))
-        return value(self, t)
+        return value(self, t, out, work)
 
     monkeypatch.setattr(InteractionWeight, "value", counting_value)
     interaction_pair_flux(th0, th1, weight)
@@ -400,3 +408,96 @@ def test_whole_cells_are_evaluated_once_per_group(monkeypatch):
                 bound += (cells.count(None) + len(set(cells) - {None})) * per_segment
                 every += lo.size * per_segment
     assert sum(evaluated) <= bound < every / 2
+
+
+# ---------------------------------------------------------------------------
+# worker threads
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_worker_count_changes_no_bit(kind, alpha, monkeypatch):
+    """One, the default and three workers give the same bits (``tobytes``, so
+    also ``repr``), for batches of one group, of a group and one row, and of
+    several groups; the value and flux rectangles of ``sin_diff`` and
+    ``sin_cos`` include diagonal squares."""
+    weight = InteractionWeight(alpha)
+    for seed, rows in enumerate((1, 128, 129, 300, 1000)):
+        for rect in rectangles(kind, *theta_pairs((rows,), 40 + seed)):
+            default = arc_rectangle_integral(kind, *rect, weight)
+            for workers in (1, 3):
+                monkeypatch.setattr(quadrature, "_WORKERS", workers)
+                assert_bits(arc_rectangle_integral(kind, *rect, weight), default)
+            monkeypatch.undo()
+
+
+def test_workers_under_frequent_thread_switches(monkeypatch):
+    """Eight workers for eight 128-row groups (more workers than a small machine
+    has CPUs), with the interpreter switching threads every 10 us: the bits
+    stay those of one worker, on every repetition."""
+    weight = InteractionWeight(0.5)
+    rect = next(rectangles("sin_cos", *theta_pairs((1000,), 9)))
+    monkeypatch.setattr(quadrature, "_WORKERS", 1)
+    one = arc_rectangle_integral("sin_cos", *rect, weight)
+    monkeypatch.setattr(quadrature, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            assert_bits(arc_rectangle_integral("sin_cos", *rect, weight), one)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_small_batches_start_no_worker(monkeypatch):
+    """A 1-d batch of at most _CHUNK rows, and any other shape, stays on the
+    calling thread; a 1-d batch of _CHUNK + 1 rows goes to the pool."""
+    pools = []
+
+    class Spy(quadrature.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(quadrature, "_WORKERS", 2)
+    weight = InteractionWeight(0.5)
+    for shape in ((), (1,), (128,), (7, 5), (3, 129)):
+        for kind in KINDS:
+            arc_rectangle_integral(kind, *next(rectangles(kind, *theta_pairs(shape, 2))), weight)
+    interaction_pair_value(*theta_pairs((128,), 3), weight)
+    assert pools == []
+    arc_rectangle_integral("sin_diff", *next(rectangles("sin_diff", *theta_pairs((129,), 4))), weight)
+    assert pools == [2]
+
+
+def test_worker_buffers_bound_the_memory_peak(monkeypatch):
+    """One 1,000-row ``sin_cos`` call on two workers: the traced peak measured
+    3.72 MB (1.98 MB on one worker; 1.83 MB before the worker threads, when each
+    group allocated its own temporaries).  Sizing the node table for every live
+    segment instead of the distinct cells peaked at 13.0 MB.
+    Nothing but the result outlives the call."""
+    monkeypatch.setattr(quadrature, "_WORKERS", 2)
+    weight = InteractionWeight(0.5)
+    rect = next(rectangles("sin_cos", *theta_pairs((1000,), 5)))
+    arc_rectangle_integral("sin_cos", *rect, weight)    # the Gauss-Legendre cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = arc_rectangle_integral("sin_cos", *rect, weight)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        del out
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.2e6, peak
+    assert retained < 1000 * 8, retained
+
+
+def test_gauss_legendre_arrays_are_read_only():
+    """Worker threads share the cached nodes and weights: a write must fail."""
+    x, w = gauss_legendre(24)
+    for a in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
