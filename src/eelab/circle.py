@@ -6,15 +6,15 @@ represents t -> sum_k c_k e^{ikt}.  Every operation needed downstream
 arithmetic.
 
 Evaluation contracts a Fourier basis exp(i t k), k = -band..band, with the
-coefficients; :func:`fourier_basis` is the one place that basis is built.
-``f(t)`` builds it for one function, and :func:`evaluate_all` builds it once
-per band for several functions on one ``t``.  Both contract the same basis
-with the same ``tensordot``, so both give the same bits.  Each function meets
-a basis of exactly its own band.  Contracting it with a wider basis, its
-coefficients padded with zeros, sums over a longer row and rounds
-differently.  A column slice of a wider basis would hold the same entries,
-but ``tensordot`` has to copy it first, and the bits would then rest on that
-copy reaching BLAS as a fresh basis does.
+coefficients; :func:`fourier_basis` is the one place that basis is built (in
+place, from its k > 0 half).  ``f(t)`` builds it for one function, and
+:func:`evaluate_all` builds it once per band for several functions on one
+``t``.  Both contract the same basis with the same ``tensordot``, so both give
+the same bits.  Each function meets a basis of exactly its own band.
+Contracting it with a wider basis, its coefficients padded with zeros, sums
+over a longer row and rounds differently.  A column slice of a wider basis
+would hold the same entries, but ``tensordot`` has to copy it first, and the
+bits would then rest on that copy reaching BLAS as a fresh basis does.
 """
 
 from __future__ import annotations
@@ -29,10 +29,21 @@ ComplexArray = NDArray[np.complex128]
 
 
 def fourier_basis(t, band: int) -> ComplexArray:
-    """exp(i t k) for k = -band..band, as an array of shape t.shape + (2 band + 1,)."""
+    """exp(i t k) for k = -band..band, as an array of shape t.shape + (2 band + 1,), built
+    in place from k > 0 with the bits of ``np.exp(1j * np.multiply.outer(t, ks))``: ``1j *
+    x`` is (+-0, x + 0.0), and exp(-i x) is (cos x, 0.0 - sin x), keeping the +0 at x = 0
+    that ``conj`` would flip; ``np.positive`` copies without a temporary."""
     t = np.asarray(t, dtype=float)
-    ks = np.arange(-band, band + 1)
-    return np.exp(1j * np.multiply.outer(t, ks))
+    out = np.empty(t.shape + (2 * band + 1,), dtype=np.complex128)
+    out[..., band] = 1.0
+    pos, neg = out[..., band + 1:], out[..., :band][..., ::-1]
+    pos.real = 0.0
+    np.multiply.outer(t, np.arange(1.0, band + 1), out=pos.imag)
+    pos.imag += 0.0
+    np.exp(pos, out=pos)
+    np.positive(pos.real, out=neg.real)
+    np.subtract(0.0, pos.imag, out=neg.imag)
+    return out
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
+from . import quadrature
 from .entropy import EntropyMap, ExtendedEntropy, ent_residual
 from .grids import (
     AngleField,
@@ -86,6 +87,10 @@ def cubic_difference_average(m: AngleField, eps: float) -> ScalarField:
     term is hypot(+-0, +-0)**3 = +0.0 and every term is >= +0.0, so adding
     it changes nothing, and theta is finite (AngleField rejects anything
     else), so no NaN is skipped.
+
+    The rows the boxes cover are split into one band per worker thread
+    (``quadrature._run_tasks``), and each worker runs the whole offset loop over
+    its band, so every cell gets the same terms in the same order.
     """
     grid = m.grid
     h = grid.spacing
@@ -100,17 +105,29 @@ def cubic_difference_average(m: AngleField, eps: float) -> ScalarField:
     for o in range(-radius, radius + 1):
         (ya, xa), (yt, xt) = _overlap(grid, o, o)
         spans[o] = _changing_lines(*rows, ya, yt), _changing_lines(*cols, xa, xt)
-    acc = np.zeros((grid.ny, grid.nx))
+    boxes = []  # (ox, oy, y0, y1, x0, x1): box rows y0:y1, columns x0:x1 of acc
     for oy in range(-radius, radius + 1):
         for ox in range(-radius, radius + 1):
             if (ox == 0 and oy == 0) or (ox * h) ** 2 + (oy * h) ** 2 >= eps**2:
                 continue
-            box = spans[oy][0], spans[ox][1]
-            if None in box:
-                continue
-            at, to = _overlap(grid, ox, oy)
-            d = vec[to][box] - vec[at][box]
-            acc[at][box] += np.hypot(d[..., 0], d[..., 1]) ** 3
+            (ry, rx), _ = _overlap(grid, ox, oy)
+            by, bx = spans[oy][0], spans[ox][1]
+            if by is not None and bx is not None:
+                boxes.append((ox, oy, ry.start + by.start, ry.start + by.stop,
+                              rx.start + bx.start, rx.start + bx.stop))
+    lo, hi = min((b[2] for b in boxes), default=0), max((b[3] for b in boxes), default=0)
+    k = min(quadrature._WORKERS, hi - lo)
+    edges = [lo + (hi - lo) * i // max(k, 1) for i in range(k + 1)]
+    acc = np.zeros((grid.ny, grid.nx))
+
+    def band(j, _):
+        for ox, oy, y0, y1, x0, x1 in boxes:
+            y0, y1 = max(y0, edges[j]), min(y1, edges[j + 1])
+            if y0 < y1:
+                d = vec[y0 + oy:y1 + oy, x0 + ox:x1 + ox] - vec[y0:y1, x0:x1]
+                acc[y0:y1, x0:x1] += np.hypot(d[..., 0], d[..., 1]) ** 3
+
+    quadrature._run_tasks(band, k)
     mask = grid.interior_mask(eps)
     return ScalarField(grid, acc * h * h / eps**3, mask=mask)
 

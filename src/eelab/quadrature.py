@@ -24,6 +24,9 @@ gathered into its rows, branch-masked weight, into reused buffers) and which
 worker thread evaluates a group do not change any bit; changing _CHUNK,
 _PIECES, _NODES, _SNAP or the segment split does, and is an output change to
 be reviewed as drift, not a speed setting.
+
+_run_tasks below runs the layout groups here, the Besov ladder's offsets and
+the cubic difference average's row bands on worker threads.
 """
 
 from __future__ import annotations
@@ -154,9 +157,24 @@ _CHUNK = 128
 #: 2 workers the n=96 vortex identity took 10.6, 9.1, 9.5 and 9.7 s at 8, 16,
 #: 32 and 64 rows (medians of 3, 2 vCPU); 32 and 64 doubled the page faults.
 _BLOCK = 16
-#: Worker threads for the layout groups of a 1-d batch: the CPUs this process
-#: may run on.  Which worker evaluates a group changes no bit.
+#: Worker threads per call: the CPUs this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_tasks(task, n: int, buffers=lambda: None) -> None:
+    """``task(j, buf)`` for j < n on up to _WORKERS threads, each taking the next
+    j when free, with a ``buf = buffers()`` each, made here so that its memory
+    returns to this thread's heap.  A task's exception is raised once all
+    threads are joined."""
+    bufs = [buffers() for _ in range(min(_WORKERS, n))]
+    taken = itertools.count()   # next() on it is one atomic step under the GIL
+
+    def work(buf):
+        while (j := next(taken)) < n:
+            task(j, buf)
+
+    with ThreadPoolExecutor(max(len(bufs), 1)) as pool:
+        list(pool.map(work, bufs))
 
 
 def _whole_cells(lo: np.ndarray, hi: np.ndarray):
@@ -324,17 +342,8 @@ def arc_rectangle_integral(kind: str, slo, shi, tlo, thi, weight, n: int = _NODE
     rect = (slo, shi, tlo, thi)
     plans = _plan(rect, [(i, min(i + _CHUNK, slo.size)) for i in range(0, slo.size, _CHUNK)])
     out = np.empty(slo.size)
-    taken = itertools.count()   # next() on it is one atomic step under the GIL
-
-    def work(buffers):
-        while (j := next(taken)) < len(plans):
-            _evaluate(kind, rect, plans[j], buffers, weight, n, out)
-
-    k = min(_WORKERS, len(plans))
-    with ThreadPoolExecutor(k) as pool:
-        # allocated here, so that the memory the buffers free goes back to the
-        # calling thread's heap, where later work reuses it
-        list(pool.map(work, [_buffers(plans, n) for _ in range(k)]))
+    _run_tasks(lambda j, buffers: _evaluate(kind, rect, plans[j], buffers, weight, n, out),
+               len(plans), lambda: _buffers(plans, n))
     return out
 
 

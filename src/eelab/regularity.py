@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 from .bumps import RadialBump, TensorBump
 from .grids import AngleField, BoolArray, Grid2, _overlap
 from .quadrature import (
+    _run_tasks,
     gauss_legendre,
     interaction_pair_flux,
     interaction_pair_value,
@@ -93,21 +94,6 @@ class BesovReport:
     directions: int
 
 
-def _masked_shift_norm(
-    grid: Grid2, vec: FloatArray, offset: tuple[int, int], q: float, region: BoolArray
-) -> float:
-    """||D^z m||_{L^q(U)} of unit vectors ``vec`` with the both-endpoints-in-U zero convention."""
-    at, to = _overlap(grid, *offset)
-    valid = region[at] & region[to]
-    if not np.any(valid):
-        return 0.0
-    diff = vec[to] - vec[at]
-    mag = np.hypot(diff[..., 0], diff[..., 1])[valid]
-    if np.isinf(q):
-        return float(mag.max())
-    return float((np.sum(mag**q) * grid.cell_area()) ** (1.0 / q))
-
-
 def direction_offsets(grid: Grid2, h: float, n_directions: int) -> list[tuple[int, int]]:
     """Lattice roundings of h e_k over equispaced directions, deduplicated."""
     offs: set[tuple[int, int]] = set()
@@ -132,7 +118,9 @@ def besov_seminorm(
 
     The direction sweep is a documented under-approximation of the true sup
     over increments; enlarging the region or the ladder never decreases the
-    reported seminorm.
+    reported seminorm.  The (h, offset) norms run on the worker threads of
+    ``quadrature._run_tasks``, and the sup over each h's norms is taken here,
+    in offset order, so the worker count changes no bit.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -140,12 +128,32 @@ def besov_seminorm(
         raise ValueError("empty subdomain after masking")
     hs = sorted(float(h) for h in h_ladder)
     vec = m.unit_vectors().values
-    per_h = []
-    for h in hs:
-        sup = 0.0
-        for off in direction_offsets(m.grid, h, n_directions):
-            sup = max(sup, _masked_shift_norm(m.grid, vec, off, q, region))
-        per_h.append(sup)
+    tasks = [(i, off) for i, h in enumerate(hs) for off in direction_offsets(m.grid, h, n_directions)]
+    norms = [0.0] * len(tasks)
+
+    def norm(j, buf):
+        # ||D^z m||_{L^q(U)} for the offset z of task j, zero unless both ends lie
+        # in U.  Each value meets the operations of np.hypot(*D^z)[valid] ** q, so
+        # the bits are those, but only the valid differences reach hypot, and only
+        # the nonzero magnitudes pow (0 ** q = +0, and pow is slow on zeros)
+        at, to = _overlap(m.grid, *tasks[j][1])
+        shape, n = region[at].shape, region[at].size
+        valid = np.logical_and(region[at], region[to], out=buf[2][:n].reshape(shape))
+        if count := np.count_nonzero(valid):
+            diff = np.subtract(vec[to], vec[at], out=buf[0][: 2 * n].reshape(*shape, 2))
+            pairs = np.compress(valid.reshape(-1), diff.reshape(n, 2), axis=0,
+                                out=buf[1][: 2 * count].reshape(count, 2))
+            mag = np.hypot(pairs[:, 0], pairs[:, 1], out=buf[3][:count])
+            if np.isinf(q):
+                norms[j] = float(mag.max())
+            else:
+                np.power(mag, q, out=mag, where=np.greater(mag, 0.0, out=buf[2][:count]))
+                norms[j] = float((np.sum(mag) * m.grid.cell_area()) ** (1.0 / q))
+
+    _run_tasks(norm, len(tasks), lambda: (np.empty(vec.size), np.empty(vec.size),
+                                          np.empty(vec.size // 2, dtype=bool), np.empty(vec.size // 2)))
+    # the max of 0.0 and an h's norms folds sup = max(sup, norm) in offset order
+    per_h = [max([0.0] + [v for (i, _), v in zip(tasks, norms) if i == k]) for k in range(len(hs))]
     cumulative = list(np.maximum.accumulate(per_h))
     seminorm = max(c / h**s for h, c in zip(hs, cumulative))
     positive = [(h, v) for h, v in zip(hs, per_h) if v > 0]

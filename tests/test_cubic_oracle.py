@@ -10,10 +10,12 @@ lines with equal values); it must reproduce the oracle bit for bit
 import hashlib
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from eelab import quadrature
 from eelab.cli import _JUMP_CUBIC_CELLS, config_from_json
 from eelab.grids import AngleField, Grid2, ScalarField, _overlap, build_field, centered_grid
 from eelab.production import cubic_difference_average
@@ -104,9 +106,13 @@ _EQUAL_ROWS = AngleField(Grid2(12, 10, 0.1), np.where(_ROWS < 5, 0.5, 0.5))
 @example(_JUMP_ROWS, 0.125)
 @example(_EQUAL_ROWS, 0.125)
 def test_cubic_difference_average_matches_oracle_bitwise(m, frac):
-    # from the smallest resolved scale, 2 cells, up to a disk wider than the grid
+    # from the smallest resolved scale, 2 cells, up to a disk wider than the grid,
+    # with the default worker count and with three workers, which split the
+    # rows more finely than a small machine does
     cells = 2.0 + frac * max(m.grid.nx, m.grid.ny)
     assert_bitwise(m, cells * m.grid.spacing)
+    with patch.object(quadrature, "_WORKERS", 3):
+        assert_bitwise(m, cells * m.grid.spacing)
 
 
 # ---------------------------------------------------------------------------
