@@ -26,7 +26,7 @@ from typing import Callable, Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from .circle import CircleFunction, evaluate_all
+from .circle import CircleFunction, _block_values
 
 FloatArray = NDArray[np.float64]
 
@@ -414,18 +414,21 @@ def radial_values(phis: Sequence[EntropyMap], v: FloatArray) -> list[FloatArray]
     """The radial extensions eta(|v|) Phi(v/|v|) of each Phi in phis, as (..., 2) arrays.
 
     Each extension is supported on the annulus 1/2 <= |v| <= 2.  |v|, the
-    angle and eta(|v|) are computed once, and the components of all of phis
-    share one Fourier basis per band (:func:`~eelab.circle.evaluate_all`).
+    angle and eta(|v|) are computed once.  The components of all of phis are
+    evaluated in the row blocks of :mod:`~eelab.circle` (``_block_values``: per
+    block, one Fourier basis per band; a one-row tail joins the block before
+    it), and each block's eta Re(Phi_j) goes straight into component j of its
+    output.  No full complex array is held.
     """
     v = np.asarray(v, dtype=float)
-    r = np.hypot(v[..., 0], v[..., 1])
     omega = np.arctan2(v[..., 1], v[..., 0])
-    e = RadialCutoff()(r)
-    comps = evaluate_all([f for phi in phis for f in (phi.comp1, phi.comp2)], omega)
-    return [
-        np.stack([e * np.real(c1), e * np.real(c2)], axis=-1)
-        for c1, c2 in zip(comps[::2], comps[1::2])
-    ]
+    e = np.ravel(RadialCutoff()(np.hypot(v[..., 0], v[..., 1])))
+    out = [np.empty(omega.shape + (2,)) for _ in phis]
+    flat = [o.reshape(-1, 2) for o in out]
+    fs = [f for phi in phis for f in (phi.comp1, phi.comp2)]
+    for rows, i, (c,) in _block_values(fs, omega):
+        flat[i // 2][rows, i % 2] = e[rows] * c.real
+    return out
 
 
 def harmonic_entropy(phi: DiskHarmonic) -> ExtendedEntropy:

@@ -135,11 +135,6 @@ class VecField:
     def magnitude(self) -> FloatArray:
         return np.hypot(self.values[..., 0], self.values[..., 1])
 
-    def effective_mask(self) -> BoolArray:
-        if self.mask is None:
-            return np.ones((self.grid.ny, self.grid.nx), dtype=bool)
-        return self.mask
-
 
 @dataclass(frozen=True)
 class ScalarField:

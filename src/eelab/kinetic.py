@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bumps import RadialBump, TensorBump
-from .circle import CircleFunction, evaluate_all
+from .circle import CircleFunction, _block_values
 from .grids import (
     AngleField,
     BoolArray,
@@ -57,21 +57,23 @@ def theta_of_vec(v: VecField) -> tuple[ScalarField, BoolArray]:
 def arc_integral(qs: Sequence[CircleFunction], lo: FloatArray, hi: FloatArray) -> list[FloatArray]:
     """int_lo^hi q(s) ds for each band-limited q in qs, exact (spectral antiderivative).
 
-    The primitives of all of qs are evaluated on hi, then on lo, one Fourier
-    basis per band (:func:`~eelab.circle.evaluate_all`).
+    The primitives P of all of qs are evaluated on hi and lo together in the row
+    blocks of :mod:`~eelab.circle` (``_block_values``: per block, one Fourier
+    basis per band and angle array), and each block's P(hi) - P(lo) + mean
+    (hi - lo) is written straight into the outputs, real for a real q; a
+    one-row tail joins the block before it.  No full complex array is held.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo_flat, hi_flat = np.ravel(lo), np.ravel(hi)
     means = [q.mean for q in qs]
     prims = [(q - CircleFunction.constant(mean)).antiderivative() for q, mean in zip(qs, means)]
-    at_hi = evaluate_all(prims, hi)
-    at_lo = evaluate_all(prims, lo)
-    width = hi - lo
-    out = []
-    for q, mean, p_hi, p_lo in zip(qs, means, at_hi, at_lo):
-        vals = p_hi - p_lo + mean * width
-        out.append(np.real(vals) if q.is_real() else vals)
-    return out
+    reals = [q.is_real() for q in qs]
+    out = [np.empty(hi.shape, dtype=float if real else np.complex128) for real in reals]
+    flat = [o.reshape(-1) for o in out]
+    for rows, i, (p_hi, p_lo) in _block_values(prims, hi_flat, lo_flat):
+        vals = p_hi - p_lo + means[i] * (hi_flat[rows] - lo_flat[rows])
+        flat[i][rows] = vals.real if reals[i] else vals
+    return out if hi.ndim else [o[()] for o in out]
 
 
 def chi_pairing(qs: Sequence[CircleFunction], theta: FloatArray) -> list[FloatArray]:
@@ -129,11 +131,6 @@ class KineticMeasure:
     def nu(self) -> ScalarField:
         """Total variation |sigma_x| = 2|g| per cell."""
         return ScalarField(self.grid, 2.0 * np.abs(self.g), mask=self.mask)
-
-    def effective_mask(self) -> BoolArray:
-        if self.mask is None:
-            return np.ones((self.grid.ny, self.grid.nx), dtype=bool)
-        return self.mask
 
     def integrate(self, f: CircleFunction) -> FloatArray:
         """int f dsigma_x per cell: exact atoms, 256-point lattice mean for the density."""

@@ -1,12 +1,13 @@
-"""Shared Fourier bases against one basis per function, bit for bit.
+"""Blocked evaluation of circle functions against one-shot Fourier bases, bit for bit.
 
-``evaluate_all`` builds one basis per band for several circle functions on one
-angle array; ``arc_integral``/``chi_pairing`` and ``radial_values`` evaluate
-through it.  The oracles below are the per-function evaluation paths that
-preceded it: ``CircleFunction.__call__`` as it built its own basis on every
-call, and ``arc_integral`` and the radial extension's value closure with each
-function evaluated on its own through that call.  Every comparison is of
-``tobytes()``, so any change in rounding fails.
+Every evaluation (``CircleFunction.__call__``, ``real_values``,
+``evaluate_all``, ``arc_integral``/``chi_pairing`` and ``radial_values``) runs
+one loop that builds each band's basis once per block of ``circle._ROWS``
+rows of the flattened angles.  The oracles below are the evaluation paths
+that preceded it: ``CircleFunction.__call__`` as it built one basis over all
+of ``t`` on every call, and ``arc_integral`` and the radial extension's value
+closure with each function evaluated on its own through that call.  Every
+comparison is of ``tobytes()``, so any change in rounding fails.
 """
 
 import hashlib
@@ -15,11 +16,12 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from decomposition_oracle import radial_extension
-from eelab import circle
-from eelab.circle import CircleFunction, evaluate_all, fourier_basis
+from eelab import circle, entropy, kinetic
+from eelab.circle import _ROWS, CircleFunction, evaluate_all, fourier_basis
 from eelab.cli import config_from_json, run_config
 from eelab.entropy import EntropyMap, RadialCutoff, generated_entropy, radial_values
 from eelab.kinetic import arc_integral, chi_pairing
@@ -202,7 +204,110 @@ def test_radial_values_match_oracle(phis, t, seed):
 
 
 # ---------------------------------------------------------------------------
-# memory: one basis alive at a time
+# row blocks: lengths around the block size, 2-d and strided angles
+# ---------------------------------------------------------------------------
+
+#: one row, two rows, a block less one, one block, one block and a one-row tail
+#: (which joins the block before it), two blocks and a one-row tail
+LENGTHS = [1, 2, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1]
+
+
+def _angles(kind: str, n: int):
+    """``n`` angles as a 0-d (n = 1), 1-d, 2-d or strided 2-d array, special angles first."""
+    rng = np.random.default_rng(n)
+    if kind == "0d":
+        return np.array(rng.uniform(-10.0, 10.0))
+    flat = rng.uniform(-10.0, 10.0, n)
+    flat[: len(SPECIAL_ANGLES)] = SPECIAL_ANGLES[:n]
+    if kind == "1d":
+        return flat
+    if kind == "2d":
+        return flat.reshape(n, 1) if n % 2 else flat.reshape(2, n // 2)
+    base = np.zeros((2 * n, 3))
+    base[::2, 1] = flat
+    t = base[::2, 1:2]
+    assert not t.flags.c_contiguous
+    return t
+
+
+BLOCK_INPUTS = [("0d", 1), ("1d", 1), ("2d", 1)] + [
+    (kind, n) for n in LENGTHS[1:] for kind in ("1d", "2d", "strided")]
+
+
+def _block_functions() -> list[CircleFunction]:
+    """Real and complex functions of bands 0, 1, 2, 9 and 12."""
+    rng = np.random.default_rng(21)
+    wide = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    return [CircleFunction.random_real(9, rng), CircleFunction(wide), CircleFunction.constant(0.5 - 2j),
+            CircleFunction.random_real(1, rng), CircleFunction.cosine(2)]
+
+
+@pytest.mark.parametrize("kind, n", BLOCK_INPUTS)
+def test_blocked_evaluation_matches_one_shot_basis(kind, n):
+    t = _angles(kind, n)
+    fs = _block_functions()
+    for f, got in zip(fs, evaluate_all(fs, t), strict=True):
+        want = oracle_call(f, t)
+        assert type(got) is type(want)
+        assert same_bits(got, want)
+        assert same_bits(f(t), want)
+        real = f.real_values(t)
+        assert type(real) is type(np.real(want))
+        assert same_bits(real, np.real(want))
+
+
+@pytest.mark.parametrize("kind, n", BLOCK_INPUTS)
+def test_blocked_arc_integrals_match_one_shot_basis(kind, n):
+    t = _angles(kind, n)
+    qs = _block_functions()
+    for q, got in zip(qs, arc_integral(qs, t, t + 0.75), strict=True):
+        assert same_bits(got, oracle_arc_integral(q, t, t + 0.75))
+    for q, got in zip(qs, chi_pairing(qs, t), strict=True):
+        assert same_bits(got, oracle_arc_integral(q, t - np.pi / 2, t + np.pi / 2))
+
+
+@pytest.mark.parametrize("kind, n", BLOCK_INPUTS)
+def test_blocked_radial_values_match_one_shot_basis(kind, n):
+    t = _angles(kind, n)
+    rng = np.random.default_rng(22)
+    phis = [generated_entropy(CircleFunction.random_real(8, rng)),
+            EntropyMap(CircleFunction.random_real(12, rng), CircleFunction.cosine(1))]
+    r = rng.uniform(0.0, 2.5, t.shape)
+    v = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+    for phi, got in zip(phis, radial_values(phis, v), strict=True):
+        assert same_bits(got, oracle_radial_value(phi, v))
+
+
+@pytest.mark.parametrize("kind, n", BLOCK_INPUTS)
+def test_no_one_row_block_unless_one_element(monkeypatch, kind, n):
+    """numpy contracts a one-row basis through another BLAS routine, whose bits
+    differ; every contraction is of a block of two or more rows (at most a block
+    and its one-row tail), unless the angles are a single element (as are the
+    scalar evaluations inside ``antiderivative``)."""
+    block_values = circle._block_values
+    contracted = []
+
+    def spy(fs, *ts):
+        for rows, i, values in block_values(fs, *ts):
+            contracted.extend((np.size(ts[0]), v.size) for v in values)
+            yield rows, i, values
+
+    for module in (circle, kinetic, entropy):
+        monkeypatch.setattr(module, "_block_values", spy)
+    t = _angles(kind, n)
+    fs = _block_functions()
+    fs[0](t)
+    fs[1].real_values(t)
+    evaluate_all(fs, t)
+    chi_pairing(fs, t)
+    radial_values([EntropyMap(fs[0], fs[3])], np.stack([np.cos(t), np.sin(t)], axis=-1))
+    assert n in {size for size, _ in contracted}
+    for size, rows in contracted:
+        assert 2 <= rows <= _ROWS + 1 or size == rows == 1, (size, rows)
+
+
+# ---------------------------------------------------------------------------
+# memory: one block basis alive at a time
 # ---------------------------------------------------------------------------
 
 
@@ -219,24 +324,58 @@ def _traced(fn) -> tuple[int, int]:
         tracemalloc.stop()
 
 
+def _block_basis_peak(t, band: int) -> int:
+    """Traced peak of building one block's basis of ``band`` on ``t``."""
+    block = np.ravel(t)[:_ROWS].copy()
+    fourier_basis(block, band)
+    return _traced(lambda: fourier_basis(block, band))[0]
+
+
 def test_evaluate_all_holds_one_basis_at_a_time():
     """Seven functions in bands 9 and 6 on 256 x 256 angles peak no higher than
-    the widest alone plus the two other band-9 values held with its basis, and
-    keep nothing once their values are dropped.  Keeping the band-9 basis while
-    the band-6 one is built would fail the first bound, and a cache between
-    calls fail the second bound.  (The bound was 1.1 times the widest alone
-    while a basis cost twice its size to build; built in place, the two held
-    values alone take the widest alone's peak up by 10.0 %.)"""
+    their seven outputs plus one band-9 block basis, +2 %, and keep nothing once
+    their values are dropped.  A basis over all 65,536 angles would fail the
+    first bound by about 10 MB, and a cache between calls the second.  (The
+    bound was relative to the widest function alone while each function built
+    its basis over all angles: 1.01 times that plus two values, about 23.3 MB;
+    blocked, the outputs dominate and the peak is 8.9 MB.)"""
     rng = np.random.default_rng(11)
     t = rng.uniform(0.0, 2 * np.pi, (256, 256))
     fs = [CircleFunction.random_real(9 if i % 2 else 6, rng) for i in range(7)]
-    widest = max(fs, key=lambda f: f.band)
     assert {f.band for f in fs} == {6, 9}
-    alone, _ = _traced(lambda: widest(t))
     shared, retained = _traced(lambda: evaluate_all(fs, t))
     value = t.size * np.dtype(np.complex128).itemsize
-    assert shared <= 1.01 * alone + 2 * value, (shared, alone)
+    assert shared <= 1.02 * (len(fs) * value + _block_basis_peak(t, 9)), shared
     assert retained < t.nbytes, retained
+
+
+def test_radial_values_hold_one_block_basis():
+    """Seven radial extensions on 256 x 256 points peak no higher than their
+    outputs, the angle and cutoff arrays they are made from, and one block basis
+    of the widest component, +2 %."""
+    rng = np.random.default_rng(13)
+    phis = [generated_entropy(CircleFunction.random_real(8 if i % 2 else 5, rng)) for i in range(7)]
+    t = rng.uniform(0.0, 2 * np.pi, (256, 256))
+    r = rng.uniform(0.4, 2.2, t.shape)
+    v = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+    band = max(f.band for phi in phis for f in (phi.comp1, phi.comp2))
+    peak, retained = _traced(lambda: radial_values(phis, v))
+    outputs = len(phis) * v.nbytes
+    assert peak <= 1.02 * (outputs + 2 * t.nbytes + _block_basis_peak(t, band)), peak
+    assert retained < t.nbytes, retained
+
+
+def test_chi_pairing_holds_one_block_basis_per_arc_end():
+    """Six real arc pairings on 256 x 256 angles peak no higher than their real
+    outputs, the two arc ends, and one block basis of the primitives' band per
+    arc end, +2 %; no complex value array of the whole level is held."""
+    rng = np.random.default_rng(14)
+    qs = [CircleFunction.random_real(7, rng) for _ in range(6)]
+    theta = rng.uniform(0.0, 2 * np.pi, (256, 256))
+    peak, retained = _traced(lambda: chi_pairing(qs, theta))
+    outputs = len(qs) * theta.nbytes
+    assert peak <= 1.02 * (outputs + 2 * theta.nbytes + 2 * _block_basis_peak(theta, 7)), peak
+    assert retained < theta.nbytes, retained
 
 
 def test_fourier_basis_allocates_only_its_output():
@@ -249,8 +388,10 @@ def test_fourier_basis_allocates_only_its_output():
 
 
 def test_evaluate_all_builds_one_basis_per_band(monkeypatch):
-    """Each distinct band gets a basis of exactly that band: no wider basis is
-    sliced or zero-padded, and no band is built twice."""
+    """Each distinct band gets a basis of exactly that band, once per row block:
+    no wider basis is sliced or zero-padded, and no band is built twice in a
+    block.  2 * _ROWS + 1 angles are two blocks, the second with the one-row
+    tail; 2 * _ROWS + 2 are three."""
     built = []
 
     def spy(t, band):
@@ -260,8 +401,10 @@ def test_evaluate_all_builds_one_basis_per_band(monkeypatch):
     monkeypatch.setattr(circle, "fourier_basis", spy)
     rng = np.random.default_rng(5)
     fs = [CircleFunction.random_real(b, rng) for b in (4, 1, 4, 0, 7, 1)]
-    evaluate_all(fs, rng.uniform(0.0, 6.0, 50))
-    assert sorted(built) == [0, 1, 4, 7]
+    for n, blocks in [(50, 1), (2 * _ROWS + 1, 2), (2 * _ROWS + 2, 3)]:
+        built.clear()
+        evaluate_all(fs, rng.uniform(0.0, 6.0, n))
+        assert sorted(built) == sorted([0, 1, 4, 7] * blocks), n
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +437,17 @@ def test_kinetic_and_factorize_artifacts_unchanged(tmp_path):
             if config == name:
                 assert hashlib.sha256((tmp_path / name / rel).read_bytes()).hexdigest() == digest, rel
                 assert bundle["manifest"][rel] == digest
+
+
+#: traced peak bytes of the constant config's kinetic and factorize checks:
+#: 38.3 MB with each evaluation building its basis over all 65,536 angles of a
+#: level, 18.4 MB in row blocks; a whole basis built again would exceed this
+KINETIC_FACTORIZE_PEAK = 21_000_000
+
+
+def test_kinetic_and_factorize_peak_memory(tmp_path):
+    obj = json.loads((ROOT / "configs" / "constant.json").read_text())
+    obj.update(checks=["kinetic", "factorize"], seed=20240, out=str(tmp_path))
+    cfg = config_from_json(obj)
+    peak, _ = _traced(lambda: run_config(cfg))
+    assert peak <= KINETIC_FACTORIZE_PEAK, peak

@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import hashlib
+import importlib
 import json
 import re
 import subprocess
@@ -17,7 +18,9 @@ import pytest
 
 from eelab import cli, production
 from eelab.cli import ConfigError, _load_config, config_from_json, main, run_config
-from eelab.grids import ConstantSpec, JumpSpec, VortexSpec, build_field, mollify, read_field
+from eelab.bumps import RadialBump
+from eelab.grids import ConstantSpec, JumpSpec, VortexSpec, build_field, centered_grid, mollify, read_field
+from eelab.regularity import InteractionWeight, interaction_identity_check
 from eelab.reporting import json_dumps
 from eelab.schema import declared
 
@@ -291,13 +294,55 @@ def test_benchmark_tracer_contract(tmp_path):
             assert key is None or all(c[key] > 0 for c in work[span]), span
 
 
-def test_library_holds_only_what_it_runs():
+#: runs that reach every method of ``src/`` whose name another class also
+#: defines: every check on each field kind (the vortex interaction check's
+#: (48, 96) identity grids are too slow here; ``_methods_reached`` runs its
+#: identity on a 16-cell grid), and the ``show-entropy`` subcommand, the only
+#: caller of ``CircleFunction.to_json`` and ``EntropyMap.to_json``
+_REACHING_RUNS = (
+    ({"kind": "constant", "theta0": 0.3}, list(cli.ALL_CHECKS), 64),
+    ({"kind": "jump"}, list(cli.ALL_CHECKS), 96),
+    ({"kind": "vortex"}, [c for c in cli.ALL_CHECKS if c != "interaction"], 64),
+)
+
+
+def _methods_reached(monkeypatch, tmp_path, methods: set[tuple[str, str, str]]) -> set[str]:
+    """Which of ``methods`` (module, class, method) run under ``_REACHING_RUNS``;
+    each is recorded on the class that defines it, so a call through another
+    class with a method of the same name does not count."""
+    reached = set()
+
+    def recording(key, fn):
+        def wrapped(*args, **kwargs):
+            reached.add(key)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod, clsname, name in methods:
+        cls = getattr(importlib.import_module(f"eelab.{mod}"), clsname)
+        monkeypatch.setattr(cls, name, recording(f"{mod}.{clsname}.{name}", cls.__dict__[name]))
+    for i, (fld, checks, n) in enumerate(_REACHING_RUNS):
+        obj = dict(BASE, field=fld, checks=checks, grid={"n": n, "extent": 2.0}, out=str(tmp_path / str(i)))
+        bundle, _ = run_config(config_from_json(obj))
+        assert all(rec["status"] != "ERROR" for rec in bundle["checks"].values()), fld
+    # the vortex interaction check's identity, on a grid small enough for tier 1
+    interaction_identity_check(build_field(VortexSpec(), centered_grid(16, 2.0)),
+                               RadialBump(center=(0.0, 0.0), r0=0.54, width=0.23), InteractionWeight(0.5), 0.2)
+    assert main(["show-entropy", "--f", "random:4:1"]) == 0
+    return reached
+
+
+def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
     """Every public top-level def/class of ``src/eelab`` is referenced in ``src/``
     outside its own definition and ``__init__``, and so is every public method
     of its classes, as an attribute or by name in its class body; test-only
-    oracles live in tests/.  Exempt are the entry points ``cli.main`` and the
-    EELF pair ``read_field``/``write_field``, dunder (protocol) methods, and the
-    methods that perfbench/tracer.py wraps by name (its ``METHODS``)."""
+    oracles live in tests/.  A method name that more than one class defines
+    (``to_json``, ``is_real``, ``value``, ``gradient``) says nothing by name, so
+    each such method must instead run, on its own class, when ``src/`` runs
+    every check and ``show-entropy`` (``_REACHING_RUNS``).  Exempt are the entry
+    points ``cli.main`` and the EELF pair ``read_field``/``write_field``, dunder
+    (protocol) methods, and the methods that perfbench/tracer.py wraps by name
+    (its ``METHODS``)."""
     def names(tree):
         return Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
 
@@ -314,14 +359,21 @@ def test_library_holds_only_what_it_runs():
     unused = [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
               and (mod, node.name) not in exempt and refs[node.name] == names(node)[node.name]]
-    for mod, tree in trees.items():
-        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
-            aliases = sum((names(n) for n in cls.body if not isinstance(n, ast.FunctionDef)), Counter())
-            unused += [f"{mod}.{cls.name}.{node.name}" for node in cls.body
-                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                       and (mod, f"{cls.name}.{node.name}") not in exempt
-                       and attr_refs[node.name] == attrs(node)[node.name] and not aliases[node.name]]
+    methods = [(mod, cls, node) for mod, tree in trees.items()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_") and (mod, f"{cls.name}.{node.name}") not in exempt]
+    shared = {name for name, k in Counter(node.name for _, _, node in methods).items() if k > 1}
+    for mod, cls, node in methods:
+        aliases = sum((names(n) for n in cls.body if not isinstance(n, ast.FunctionDef)), Counter())
+        if (node.name not in shared and attr_refs[node.name] == attrs(node)[node.name]
+                and not aliases[node.name]):
+            unused.append(f"{mod}.{cls.name}.{node.name}")
     assert unused == []
+    by_class = {(mod, cls.name, node.name) for mod, cls, node in methods if node.name in shared}
+    reached = _methods_reached(monkeypatch, tmp_path, by_class)
+    capsys.readouterr()
+    assert sorted(f"{mod}.{cls}.{name}" for mod, cls, name in by_class) == sorted(reached)
 
 
 def _jump_config_with(path: str, value) -> dict:
