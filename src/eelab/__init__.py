@@ -74,7 +74,6 @@ from .regularity import (
     besov_seminorm,
     coercivity_profile,
     coercivity_scan,
-    interaction_functional,
     interaction_identity_check,
     symmetric_interaction_closed_form,
     symmetric_pair_interaction,

@@ -3,13 +3,16 @@
 A JSON config declares a test field, grid/refinement parameters, ladders,
 exponents and an entropy suite; ``eelab run`` executes the requested checks,
 writes CSV/JSON artifacts and a result bundle, and exits nonzero iff any
-check fails.  Identical configs reproduce byte-identical artifacts, also
-across worker counts (results are computed by pure functions of one shared,
-read-only refinement ladder and written in a fixed order).
+check fails.  The checks run one after another on the calling thread and
+share one read-only refinement ladder; only the kernels spread work over the
+worker threads of ``quadrature._run_tasks``.  Identical configs reproduce
+byte-identical artifacts whatever ``--jobs`` or the CPU count (every result is
+a pure function of the ladder, written in a fixed order).
 
 Subcommands: run, validate-config, dump-field, show-entropy.
 Flags: --config, --out, --jobs, --seed, --check; environment overrides
 EEL_OUT, EEL_JOBS, EEL_SEED, EEL_CHECK take effect when the flag is absent.
+--jobs and EEL_JOBS are validated but no longer change how the checks run.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, make_dataclass
 from pathlib import Path
 
@@ -145,6 +147,7 @@ class ExperimentConfig:
         lambda v: set(v) <= set(ALL_CHECKS)), flag="check")
     seed: int = key(20240, within=("be >= 0", lambda v: v >= 0), flag="seed")
     out: str = key("eelab-out", render=False, flag="out")
+    #: accepted and validated so that existing command lines keep working; it schedules nothing
     jobs: int = key(1, None, ("be >= 1", lambda v: v >= 1), flag="jobs")
     dump_fields: bool = key(False)
     tolerances: dict = key({}, coerce=lambda v, path: read_keys(_Tolerances, v, path))
@@ -542,10 +545,10 @@ _CHECK_FNS = dict(zip(ALL_CHECKS, (check_produce, check_besov, check_kinetic, ch
                                    check_factorize, check_entropy_identities)))
 
 def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
-    """Execute the configured checks on one read-only ladder and write all artifacts;
-    returns (bundle, exit code).  ConfigError if the field cannot be sampled on it."""
+    """Execute the configured checks, in ``ALL_CHECKS`` order on the calling thread,
+    on one read-only ladder and write all artifacts; returns (bundle, exit code).
+    ConfigError if the field cannot be sampled on it."""
     outdir = Path(cfg.out)
-    results: dict[str, CheckResult] = {}
     try:
         ladder = refinement_ladder(cfg)
     except ValueError as exc:  # the field cannot be sampled on the config's grids
@@ -560,14 +563,7 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
         except Exception as exc:  # recorded, run continues
             return CheckResult(name, "FAIL", {"error": f"{type(exc).__name__}: {exc}"}, {})
 
-    names = [c for c in ALL_CHECKS if c in cfg.checks]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            for name, res in zip(names, pool.map(one, names)):
-                results[name] = res
-    else:
-        for name in names:
-            results[name] = one(name)
+    results = {name: one(name) for name in ALL_CHECKS if name in cfg.checks}
 
     manifest: dict[str, str] = {}
     for name in sorted(results):

@@ -144,8 +144,8 @@ class Level:
     ``v`` is m * rho_eps, ``theta`` and ``live`` its angle and live mask
     (|v| >= 1/2), ``div_sigma`` its two closed-form Jin-Kohn productions and
     ``g`` = e^{i 2 theta} . div_sigma their rotation.
-    Every array is read-only, so one level can feed any number of checks,
-    also on concurrent threads.
+    Every array is read-only, so one level can feed any number of checks and
+    the kernels' concurrent worker threads.
     """
 
     m: AngleField

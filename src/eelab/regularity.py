@@ -191,32 +191,6 @@ def _point_in_interior(grid: Grid2, x: tuple[float, float]) -> bool:
     )
 
 
-def interaction_functional(
-    m: AngleField,
-    x: tuple[float, float],
-    h: float,
-    e: tuple[float, float],
-    weight: InteractionWeight,
-) -> InteractionSample:
-    """Interaction functional of the indicator differences between x and x + he.
-
-    Both points must lie in the domain.  The double integral over [0,2pi]^2
-    is evaluated with integration cells split at all indicator breakpoints,
-    so the value carries quadrature error only from the smooth kernel.
-    """
-    e = np.asarray(e, dtype=float)
-    e = e / np.hypot(*e)
-    x1 = (x[0] + h * e[0], x[1] + h * e[1])
-    for pt in (x, x1):
-        if not _point_in_interior(m.grid, pt):
-            raise ValueError(f"point {pt} outside the domain")
-    th0 = float(m.theta_at(np.array(x[0]), np.array(x[1])))
-    th1 = float(m.theta_at(np.array(x1[0]), np.array(x1[1])))
-    delta = float(interaction_pair_value(th0, th1, weight))
-    dm = float(np.hypot(np.cos(th1) - np.cos(th0), np.sin(th1) - np.sin(th0)))
-    return InteractionSample(x=tuple(x), h=h, e=(float(e[0]), float(e[1])), delta=delta, dm=dm)
-
-
 def symmetric_pair_interaction(beta, weight: InteractionWeight) -> FloatArray:
     """Interaction value of the symmetric pair (e^{-i beta}, e^{i beta})."""
     beta = np.asarray(beta, dtype=float)
@@ -275,7 +249,11 @@ def coercivity_scan(
 ) -> CoercivityReport:
     """min over samples of Delta / |D^{he} m|^{3 + alpha}, floor-guarded.
 
-    ``min_ratio`` is over every sample with |Dm| > 1e-14.  The scan passes when
+    A sample (x, h, e) pairs the indicators at x and x + he; both points must
+    lie in the domain, which is checked for every sample.  A sample with
+    |Dm| <= 1e-14 is excluded before any quadrature: its Delta is not
+    integrated.  Each kept Delta is integrated with every indicator breakpoint
+    resolved, and ``min_ratio`` is over the kept samples.  The scan passes when
     every Delta is within 1e-10 of the symmetric-pair closed form at the
     half-angle arcsin(|Dm|/2), and the ratio reaches ``c_required`` wherever
     |Dm|^{3+alpha} >= 1e-12 (below, the round-off of Delta dominates it).
@@ -284,12 +262,21 @@ def coercivity_scan(
     excluded = 0
     ratios = []
     for x, h, e in samples:
-        rec = interaction_functional(m, x, h, e, weight)
-        if rec.dm <= 1e-14:
+        e = np.asarray(e, dtype=float)
+        e = e / np.hypot(*e)
+        x1 = (x[0] + h * e[0], x[1] + h * e[1])
+        for pt in (x, x1):
+            if not _point_in_interior(m.grid, pt):
+                raise ValueError(f"point {pt} outside the domain")
+        th0 = float(m.theta_at(np.array(x[0]), np.array(x[1])))
+        th1 = float(m.theta_at(np.array(x1[0]), np.array(x1[1])))
+        dm = float(np.hypot(np.cos(th1) - np.cos(th0), np.sin(th1) - np.sin(th0)))
+        if dm <= 1e-14:
             excluded += 1
             continue
-        used.append(rec)
-        ratios.append(rec.delta / rec.dm ** (3 + weight.alpha))
+        delta = float(interaction_pair_value(th0, th1, weight))
+        used.append(InteractionSample(x=tuple(x), h=h, e=(float(e[0]), float(e[1])), delta=delta, dm=dm))
+        ratios.append(delta / dm ** (3 + weight.alpha))
     min_ratio = float(min(ratios)) if ratios else float("inf")
     gated = [r for r, rec in zip(ratios, used) if rec.dm ** (3 + weight.alpha) >= 1e-12]
     closed = symmetric_interaction_closed_form(

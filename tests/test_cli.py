@@ -9,6 +9,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -133,9 +134,9 @@ def test_run_jump_skips_interaction(tmp_path):
 
 @pytest.mark.parametrize("kind, n", [("constant", 64), ("jump", 96), ("vortex", 64)])
 def test_run_builds_each_level_once(tmp_path, monkeypatch, kind, n):
-    # produce, kinetic and factorize on three threads build and mollify every
-    # (grid, eps) they evaluate exactly once: the ladder, plus the finest field
-    # at the extra scales of produce
+    # produce, kinetic and factorize, run one after another at --jobs 3, build
+    # and mollify every (grid, eps) they evaluate exactly once: the ladder, plus
+    # the finest field at the extra scales of produce
     fld = json.loads((ROOT / "configs" / f"{kind}.json").read_text())["field"]
     obj = dict(BASE, field=fld, grid={"n": n, "extent": 2.0},
                checks=["produce", "kinetic", "factorize"])
@@ -176,6 +177,40 @@ def test_rerun_is_byte_identical(tmp_path):
         b = (tmp_path / "b" / name).read_bytes()
         c = (tmp_path / "c" / name).read_bytes()
         assert a == b == c, name
+
+
+def test_checks_run_in_order_on_the_calling_thread(tmp_path, monkeypatch):
+    # --jobs is accepted but schedules nothing: the kernels' worker pool is the only one
+    ran = []
+
+    def recording(name, fn):
+        def wrapped(*args):
+            ran.append((name, threading.get_ident()))
+            return fn(*args)
+        return wrapped
+
+    for name, fn in list(cli._CHECK_FNS.items()):
+        monkeypatch.setitem(cli._CHECK_FNS, name, recording(name, fn))
+    cfg = config_from_json(dict(BASE, checks=list(reversed(cli.ALL_CHECKS))))
+    cfg.out, cfg.jobs = str(tmp_path / "out"), 4
+    bundle, _ = run_config(cfg)
+    assert [r["details"].get("error") for r in bundle["checks"].values()] == [None] * len(cli.ALL_CHECKS)
+    assert ran == [(name, threading.get_ident()) for name in cli.ALL_CHECKS]
+
+
+@pytest.mark.parametrize("workload, config, jobs", [
+    ("constant", "constant", 1), ("constant-jobs2", "constant", 2), ("jump", "jump", 1)])
+def test_shipped_bundle_matches_benchmark_digest(tmp_path, workload, config, jobs):
+    # the benchmark's bundle digests, read only: a change that moves a bit of a
+    # shipped constant or jump bundle fails here, not only in the benchmark
+    digest = json.loads((ROOT / "perfbench" / "digests.json").read_text())[workload]
+    obj = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    obj["out"], obj["seed"] = str(tmp_path / "out"), digest["seed"]
+    cfg = config_from_json(obj)
+    cfg.jobs = jobs
+    run_config(cfg)
+    text = (tmp_path / "out" / "bundle.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == digest["bundle_sha256"]
 
 
 def test_env_overrides(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Interaction weight, interaction functional, Besov ladders."""
 
+import dataclasses
 import json
 from functools import lru_cache
 from pathlib import Path
@@ -18,13 +19,16 @@ from eelab.grids import (
     build_field,
     centered_grid,
 )
+from eelab import regularity
 from eelab.quadrature import interaction_pair_value
 from eelab.regularity import (
+    CoercivityReport,
+    InteractionSample,
     InteractionWeight,
+    _point_in_interior,
     besov_seminorm,
     coercivity_profile,
     coercivity_scan,
-    interaction_functional,
     interaction_identity_check,
     symmetric_interaction_closed_form,
     symmetric_pair_interaction,
@@ -164,6 +168,103 @@ def test_coercivity_profile_positive():
 # ---------------------------------------------------------------------------
 # field-level interaction ops
 # ---------------------------------------------------------------------------
+
+
+def interaction_functional(m, x, h, e, weight: InteractionWeight) -> InteractionSample:
+    """Interaction functional of the indicator differences between x and x + he.
+
+    Both points must lie in the domain.  The double integral over [0,2pi]^2
+    is evaluated with integration cells split at all indicator breakpoints,
+    so the value carries quadrature error only from the smooth kernel.
+    """
+    e = np.asarray(e, dtype=float)
+    e = e / np.hypot(*e)
+    x1 = (x[0] + h * e[0], x[1] + h * e[1])
+    for pt in (x, x1):
+        if not _point_in_interior(m.grid, pt):
+            raise ValueError(f"point {pt} outside the domain")
+    th0 = float(m.theta_at(np.array(x[0]), np.array(x[1])))
+    th1 = float(m.theta_at(np.array(x1[0]), np.array(x1[1])))
+    delta = float(interaction_pair_value(th0, th1, weight))
+    dm = float(np.hypot(np.cos(th1) - np.cos(th0), np.sin(th1) - np.sin(th0)))
+    return InteractionSample(x=tuple(x), h=h, e=(float(e[0]), float(e[1])), delta=delta, dm=dm)
+
+
+def coercivity_scan_oracle(m, samples, weight: InteractionWeight, c_required: float) -> CoercivityReport:
+    """The scan as it was when every sample was integrated, floor applied after."""
+    used: list[InteractionSample] = []
+    excluded = 0
+    ratios = []
+    for x, h, e in samples:
+        rec = interaction_functional(m, x, h, e, weight)
+        if rec.dm <= 1e-14:
+            excluded += 1
+            continue
+        used.append(rec)
+        ratios.append(rec.delta / rec.dm ** (3 + weight.alpha))
+    min_ratio = float(min(ratios)) if ratios else float("inf")
+    gated = [r for r, rec in zip(ratios, used) if rec.dm ** (3 + weight.alpha) >= 1e-12]
+    closed = symmetric_interaction_closed_form(
+        np.arcsin(np.minimum([rec.dm / 2 for rec in used], 1.0)), weight)
+    gap = float(np.max(np.abs([rec.delta for rec in used] - closed), initial=0.0))
+    return CoercivityReport(
+        alpha=weight.alpha,
+        min_ratio=min_ratio,
+        n_used=len(used),
+        n_excluded=excluded,
+        passed=bool(min(gated, default=np.inf) >= c_required and gap <= 1e-10),
+        samples=tuple(used),
+        closed_form_gap=gap,
+    )
+
+
+def _scan_case(kind: str):
+    """(field, samples, weight, c_required) on which the scan excludes every
+    sample (constant), some (jump) or none (smooth)."""
+    if kind == "smooth":
+        m = build_field(VortexSpec(), centered_grid(64, 2.4))
+        rng = np.random.default_rng(2)
+        pts = [rng.uniform(0.6, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(40)]
+        return m, [((z.real, z.imag), 0.05, (1.0, 0.0)) for z in pts], InteractionWeight(0.25), 0.2
+    m = build_field(ConstantSpec(0.3) if kind == "constant" else JumpSpec(), centered_grid(64, 2.0))
+    rng = np.random.default_rng(3)
+    samples = [((float(a), float(b)), h, (float(c), float(d)))
+               for h in (0.1, 0.2, 0.4) for a, b, c, d in rng.uniform(-0.5, 0.5, (8, 4))]
+    return m, samples, InteractionWeight(0.5), 0.05
+
+
+@pytest.mark.parametrize("kind", ["constant", "jump", "smooth"])
+def test_coercivity_scan_matches_integrate_every_sample_oracle_bitwise(kind):
+    m, samples, w, c = _scan_case(kind)
+    rep = coercivity_scan(m, samples, w, c_required=c)
+    ref = coercivity_scan_oracle(m, samples, w, c)
+    assert {"constant": rep.n_used == 0, "jump": rep.n_used * rep.n_excluded > 0,
+            "smooth": rep.n_excluded == 0}[kind]
+    for f in dataclasses.fields(CoercivityReport):
+        assert repr(getattr(rep, f.name)) == repr(getattr(ref, f.name)), f.name
+
+
+@pytest.mark.parametrize("kind", ["constant", "jump", "smooth"])
+def test_coercivity_scan_integrates_only_the_samples_it_uses(monkeypatch, kind):
+    calls = []
+
+    def spy(theta0, theta1, weight):
+        calls.append((theta0, theta1))
+        return interaction_pair_value(theta0, theta1, weight)
+
+    monkeypatch.setattr(regularity, "interaction_pair_value", spy)
+    m, samples, w, c = _scan_case(kind)
+    rep = coercivity_scan(m, samples, w, c_required=c)
+    assert len(calls) == rep.n_used == len(samples) - rep.n_excluded
+
+
+def test_coercivity_scan_checks_the_domain_of_excluded_samples():
+    # on a constant field every sample is excluded, yet a point off the grid still raises
+    m = build_field(ConstantSpec(0.3), centered_grid(32, 2.0))
+    inside = ((0.1, 0.1), 0.2, (1.0, 0.0))
+    for bad in (((0.95, 0.0), 0.2, (1.0, 0.0)), ((1.5, 0.0), 0.2, (1.0, 0.0))):
+        with pytest.raises(ValueError, match="outside"):
+            coercivity_scan(m, [inside, bad], InteractionWeight(0.5), c_required=0.05)
 
 
 def test_interaction_functional_trivial_pairs():
