@@ -3,9 +3,11 @@
 A JSON config declares a test field, grid/refinement parameters, ladders,
 exponents and an entropy suite; ``eelab run`` executes the requested checks,
 writes CSV/JSON artifacts and a result bundle, and exits nonzero iff any
-check fails.  The checks run one after another on the calling thread and
-share one read-only refinement ladder; only the kernels spread work over the
-worker threads of ``quadrature._run_tasks``.  Identical configs reproduce
+check fails.  A check measures and lists its gates ``(name, value, op,
+bound)``; ``_failed_gates`` alone compares a value with its bound, and a
+check fails iff one of its gates does.  The checks run one after another on
+the calling thread and share one read-only refinement ladder; only the
+kernels spread work over the worker threads of ``quadrature._run_tasks``.  Identical configs reproduce
 byte-identical artifacts whatever ``--jobs`` or the CPU count (every result is
 a pure function of the ladder, written in a fixed order).
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, make_dataclass
@@ -66,6 +69,7 @@ from .kinetic import (
     JumpLineMeasure,
     SpaceTimeTestFunction,
     chi_difference_bound,
+    edge_test_functions,
     kinetic_residual,
     test_function_suite,
 )
@@ -178,27 +182,56 @@ def config_from_json(obj: dict) -> ExperimentConfig:
          cfg.alpha is not None and abs(cfg.alpha - (3 * cfg.p - 3)) > 1e-9),
     ) if bad]
     if cfg.n >> (cfg.levels - 1) >= 4:
-        violations += _empty_windows(cfg)
+        violations += _empty_windows(cfg) + _cut_test_functions(cfg)
     if violations:
         raise ConfigError(violations)
     return cfg
+
+
+def _factorize_margin(cfg: ExperimentConfig, grid: Grid2) -> float:
+    """The factorize window's distance from the boundary: the coarsest scale plus two cells."""
+    return cfg.refinement()[0][1] + 2 * grid.spacing
 
 
 def _empty_windows(cfg: ExperimentConfig) -> list[str]:
     """The check windows that hold no cell: the check region at the widest margin a
     check uses on a grid, the coarsest for factorize and the finest for produce (its
     largest scale plus a stencil cell, or the jump's cubic-average radius)."""
-    (n_c, eps_max), (n_f, eps) = cfg.refinement()[0], cfg.refinement()[-1]
-    h_c, h_f = cfg.extent / n_c, cfg.extent / n_f
+    n_c, (n_f, eps) = cfg.refinement()[0][0], cfg.refinement()[-1]
+    h_f = cfg.extent / n_f
     produce = {"vortex": max(_PRODUCE_SCALES["vortex"]) * eps + h_f,
                "jump": _JUMP_CUBIC_CELLS * h_f}.get(cfg.field.kind, eps + h_f)
+    factorize = _factorize_margin(cfg, centered_grid(n_c, cfg.extent))
     out = []
-    for check, n, margin in (("factorize", n_c, eps_max + 2 * h_c), ("produce", n_f, produce)):
+    for check, n, margin in (("factorize", n_c, factorize), ("produce", n_f, produce)):
         if not np.any(_region(cfg, centered_grid(n, cfg.extent), margin)):
             out.append(f"grid too small: the {check} window, the check region at distance >= "
                        f"{margin:.4g} from the boundary of the {n}-cell grid, holds no cell "
                        f"(grid.n={cfg.n}, levels={cfg.levels}, eps_cells={cfg.eps_cells:g})")
     return out
+
+
+def _kinetic_test_functions(cfg: ExperimentConfig) -> list[SpaceTimeTestFunction]:
+    """The kinetic check's test functions, paired with every level of the ladder."""
+    kind, box = cfg.field.kind, 0.25 * cfg.extent
+    if kind == "constant":
+        return test_function_suite(np.random.default_rng(cfg.seed + 17), 3, box,
+                                   (0.15 * cfg.extent, 0.25 * cfg.extent))
+    q = CircleFunction.random_real(5, np.random.default_rng(cfg.seed + (11 if kind == "vortex" else 13)))
+    if kind == "vortex":
+        bump = RadialBump(center=cfg.field.center, r0=0.3125 * cfg.extent, width=0.125 * cfg.extent)
+        return [SpaceTimeTestFunction(bump, q, "annular")]
+    bump = TensorBump(center=(0.05 * cfg.extent, cfg.field.point[1]), halfwidth=(box, box))
+    return [SpaceTimeTestFunction(bump, q, "straddling")]
+
+
+def _cut_test_functions(cfg: ExperimentConfig) -> list[str]:
+    """The kinetic test functions that the edge of a level's grid cuts off."""
+    zetas = _kinetic_test_functions(cfg)
+    cut = {label: n for n, _ in cfg.refinement()
+           for label in edge_test_functions(centered_grid(n, cfg.extent), zetas)}
+    return [f"the kinetic test function {label!r} is nonzero on the outermost cell ring of the "
+            f"{n}-cell grid: the grid's edge cuts its support off" for label, n in cut.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +240,19 @@ def _empty_windows(cfg: ExperimentConfig) -> list[str]:
 
 @dataclass
 class CheckResult:
-    name: str
-    status: str  # PASS | FAIL | SKIP
     details: dict
+    #: (name, value, op, bound); a gate named after a TOLERANCES key has bound cfg.tol(name)
+    gates: list[tuple[str, float, str, float]]
     artifacts: dict[str, bytes]
+
+
+_OPS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt, "==": operator.eq}
+
+
+def _failed_gates(gates: list[tuple[str, float, str, float]]) -> list[dict]:
+    """The gates that fail ``value op bound``: the one place a run compares a value with a bound."""
+    return [{"name": name, "value": value, "op": op, "bound": bound}
+            for name, value, op, bound in gates if not _OPS[op](value, bound)]
 
 
 def _region(cfg: ExperimentConfig, grid: Grid2, margin: float = 0.0):
@@ -252,26 +294,27 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
     kind = cfg.field.kind
     details: dict = {}
     rows = []
-    ok = True
+    gates = []
 
     fine = ladder[-1]
     m, eps = fine.m, fine.eps
     # the finest field at 4 eps (vortex) and 2 eps (vortex, jump), coarsest first
     scales = [mollified_level(m, eps * k) for k in _PRODUCE_SCALES[kind]] + [fine]
+    prods = [div_entropy(lv.v, jin_kohn(1)) for lv in scales]
     if kind == "constant":
-        d = div_entropy(fine.v, jin_kohn(1))
+        d = prods[-1]
         worst = float(np.max(np.abs(d.values[d.effective_mask()])))
         details["sup_production"] = worst
-        ok = worst <= cfg.tol("trivial_production")
+        gates.append(("trivial_production", worst, "<=", cfg.tol("trivial_production")))
     elif kind == "vortex":
         grid = m.grid
-        rep = production_ladder(scales, jin_kohn(1), cfg.p, _region(cfg, grid), label="jin-kohn-1")
+        rep = production_ladder(scales, prods, cfg.p, _region(cfg, grid), label="jin-kohn-1")
         details["ladder"] = rep.to_json()
         details["decay_rate"] = rep.decay_rate()
         rows += [[f"{rep.label}", e, v] for e, v in zip(rep.eps_ladder, rep.lp_norms)]
         pms = [cubic_difference_average(lv.m, lv.eps) for lv in scales[1:]]
-        bound = pointwise_bound_check(scales[1:], pms, jin_kohn_circle(1), jin_kohn(1),
-                                      _region(cfg, grid), bound=cfg.tol("pointwise_bound"))
+        bound = pointwise_bound_check(scales[1:], prods[1:], pms, jin_kohn_circle(1),
+                                      _region(cfg, grid))
         details["pointwise_sup_ratios"] = list(bound.sup_ratios)
         r = np.hypot(*grid.meshgrid())
         inner = _region(cfg, grid, eps + grid.spacing)
@@ -279,7 +322,10 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
         hs = [grid.spacing * c for c in cfg.h_ladder_cells]
         bnd = cubic_average_besov_bound(m, eps, cfg.p, inner, outer, hs, pm=pms[-1])
         details["bounded_sequence_ratio"] = bnd.ratio
-        ok = bound.passed and bnd.passed and rep.decay_rate() >= cfg.tol("decay_rate")
+        gates += [("pointwise_bound", max(bound.sup_ratios), "<=", cfg.tol("pointwise_bound")),
+                  ("dead_cell_fraction", max(bound.dead_cell_fractions), "<=", 1e-4),
+                  ("bounded_sequence", bnd.lhs, "<=", bnd.rhs),
+                  ("decay_rate", details["decay_rate"], ">=", cfg.tol("decay_rate"))]
     elif kind == "jump":
         spec: JumpSpec = cfg.field  # type: ignore[assignment]
         mp, mm = spec.traces()
@@ -288,7 +334,7 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
         grid = m.grid
         half = 0.3 * cfg.extent
         strip = grid.rect_mask(-half, half, spec.point[1] - half, spec.point[1] + half)
-        repm = jump_production_mass(scales, jin_kohn(1), expected, strip)
+        repm = jump_production_mass(scales, prods, expected, strip)
         details["jump_mass"] = {"expected": expected, "masses": list(repm.masses),
                                 "rel_errors": list(repm.rel_errors)}
         rows += [["jump-mass", e, v] for e, v in zip(repm.eps_ladder, repm.masses)]
@@ -313,18 +359,16 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
         ratios = [cubic_average_besov_bound(m, eps_b, p, inner, outer, hs, pm=pm).ratio
                   for p in (1.0, 7.0 / 6.0, 4.0 / 3.0)]
         details["bounded_sequence_ratios"] = ratios
-        ok = (
-            repm.rel_errors[-1] <= cfg.tol("jump_mass_rel")
-            and cfg.tol("line_ratio_lo") <= ratio <= cfg.tol("line_ratio_hi")
-            and all(r <= 1.0 for r in ratios)
-        )
+        gates += [("jump_mass_rel", repm.rel_errors[-1], "<=", cfg.tol("jump_mass_rel")),
+                  ("line_ratio_lo", ratio, ">=", cfg.tol("line_ratio_lo")),
+                  ("line_ratio_hi", ratio, "<=", cfg.tol("line_ratio_hi"))]
+        gates += [("bounded_sequence", r, "<=", 1.0) for r in ratios]
     art = {"production.csv": csv_text(["label", "eps", "value"], rows).encode()} if rows else {}
     if cfg.dump_fields and kind != "constant":
-        d = div_entropy(fine.v, jin_kohn(1))
         buf = io.BytesIO()
-        write_field(buf, m.grid, d.values)
+        write_field(buf, m.grid, prods[-1].values)
         art["production_finest.eelf"] = buf.getvalue()
-    return CheckResult("produce", "PASS" if ok else "FAIL", details, art)
+    return CheckResult(details, gates, art)
 
 
 def check_besov(cfg: ExperimentConfig, ladder: list[Level],
@@ -338,52 +382,37 @@ def check_besov(cfg: ExperimentConfig, ladder: list[Level],
     hs = [grid.spacing * c for c in cfg.h_ladder_cells]
     details: dict = {}
     rows = []
-    ok = True
+    gates = []
     for q in cfg.qs:
         rep = besov_seminorm(m, cfg.s, q, hs, region)
         details[f"q={q:g}"] = asdict(rep)
         rows += [[q, h, v, c] for h, v, c in zip(rep.hs, rep.per_h, rep.cumulative)]
         if kind == "jump":
-            ok = ok and abs(rep.slope - 1.0 / q) <= cfg.tol("slope_tol")
+            gates.append(("slope_tol", abs(rep.slope - 1.0 / q), "<=", cfg.tol("slope_tol")))
         elif kind == "constant":
-            ok = ok and rep.seminorm <= 1e-12
-        else:
-            ok = ok and (rep.slope >= cfg.tol("smooth_slope") or rep.seminorm == 0.0)
+            gates.append(("seminorm", rep.seminorm, "<=", 1e-12))
+        elif rep.seminorm != 0.0:  # a vanishing seminorm has no slope to gate
+            gates.append(("smooth_slope", rep.slope, ">=", cfg.tol("smooth_slope")))
     art = {"besov.csv": csv_text(["q", "h", "sup_norm", "cumulative"], rows).encode()}
-    return CheckResult("besov", "PASS" if ok else "FAIL", details, art)
+    return CheckResult(details, gates, art)
 
 
 def check_kinetic(cfg: ExperimentConfig, ladder: list[Level],
                   rng: np.random.Generator) -> CheckResult:
-    kind = cfg.field.kind
     details: dict = {}
     rows = []
-    residual_scale = cfg.tol("kinetic_tol_coarse")
     worst_by_level = []
-    box = 0.25 * cfg.extent
-    sigma = JumpLineMeasure(cfg.field) if kind == "jump" else None
-    if kind == "vortex":
-        zetas = [SpaceTimeTestFunction(
-            RadialBump(center=cfg.field.center, r0=0.3125 * cfg.extent, width=0.125 * cfg.extent),
-            CircleFunction.random_real(5, np.random.default_rng(cfg.seed + 11)), "annular")]
-    elif kind == "jump":
-        zetas = [SpaceTimeTestFunction(
-            TensorBump(center=(0.05 * cfg.extent, cfg.field.point[1]), halfwidth=(box, box)),
-            CircleFunction.random_real(5, np.random.default_rng(cfg.seed + 13)), "straddling")]
-    else:
-        zetas = test_function_suite(np.random.default_rng(cfg.seed + 17), 3, box,
-                                    (0.15 * cfg.extent, 0.25 * cfg.extent))
+    sigma = JumpLineMeasure(cfg.field) if cfg.field.kind == "jump" else None
+    zetas = _kinetic_test_functions(cfg)
     for li, lv in enumerate(ladder):  # one set of test functions, paired with every level
         rep = kinetic_residual(lv.m, sigma, zetas)
         worst_by_level.append(rep.worst())
         rows += [[li, lv.m.grid.nx, lab, r] for lab, r in zip(rep.labels, rep.residuals)]
     details["worst_by_level"] = worst_by_level
+    gates = [("kinetic_tol_coarse", worst_by_level[-1], "<=", cfg.tol("kinetic_tol_coarse"))]
     if len(worst_by_level) >= 2 and worst_by_level[0] > 1e-14:
         details["reduction"] = worst_by_level[-1] / worst_by_level[0]
-        ok = worst_by_level[-1] <= max(0.5 * worst_by_level[0], 1e-12)
-    else:
-        ok = worst_by_level[-1] <= residual_scale
-    ok = ok and worst_by_level[-1] <= residual_scale
+        gates.append(("reduction", worst_by_level[-1], "<=", max(0.5 * worst_by_level[0], 1e-12)))
 
     # factorized-measure invariants at the finest level
     m = ladder[-1].m
@@ -395,12 +424,13 @@ def check_kinetic(cfg: ExperimentConfig, ladder: list[Level],
     x, y = m.grid.meshgrid()
     zeta = ScalarField(m.grid, np.exp(-(x**2 + y**2)))
     gap = pairing_consistency_gap(sig, f, zeta)
-    chi_rep = chi_difference_bound(m, f, np.random.default_rng(cfg.seed + 23))
-    details.update(mass_gap=mass_gap, nu_gap=nu_gap, pairing_gap=gap,
-                   chi_difference_ratio=chi_rep.max_ratio)
-    ok = ok and mass_gap <= 1e-12 and nu_gap == 0.0 and gap <= 1e-10 and chi_rep.passed
+    chi_ratio = chi_difference_bound(m, f, np.random.default_rng(cfg.seed + 23))
+    details.update(mass_gap=mass_gap, nu_gap=nu_gap, pairing_gap=gap, chi_difference_ratio=chi_ratio)
+    gates += [("mass_gap", mass_gap, "<=", 1e-12), ("nu_gap", nu_gap, "==", 0.0),
+              ("pairing_gap", gap, "<=", 1e-10),
+              ("chi_difference_ratio", chi_ratio, "<=", np.pi + 1e-9)]
     art = {"kinetic_residuals.csv": csv_text(["level", "n", "zeta", "residual"], rows).encode()}
-    return CheckResult("kinetic", "PASS" if ok else "FAIL", details, art)
+    return CheckResult(details, gates, art)
 
 
 def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
@@ -419,7 +449,8 @@ def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
              for b, c, d, r in zip(betas, closed, direct, prof)]
     details["closed_vs_direct"] = agreement
     details["coercivity_constant"] = c_alpha
-    ok = agreement <= cfg.tol("interaction_agreement") and c_alpha > 0
+    gates = [("interaction_agreement", agreement, "<=", cfg.tol("interaction_agreement")),
+             ("coercivity_constant", c_alpha, ">", 0.0)]
 
     kind = cfg.field.kind
     m = ladder[-1].m
@@ -435,10 +466,12 @@ def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
     # the scan divides by |Dm|^{3+alpha} = (2 sin beta)^{3+alpha}, not beta^{3+alpha};
     # in that normalisation the closed form is smallest at beta = pi/2 (the last beta)
     c_dm = float(np.min(closed / (2 * np.sin(betas)) ** (3 + alpha)))
-    scan = coercivity_scan(m, pts, weight, c_required=0.5 * c_dm)
+    scan = coercivity_scan(m, pts, weight)
     details["scan_min_ratio"] = scan.min_ratio
     details["scan_used"] = scan.n_used
-    ok = ok and (scan.n_used == 0 or scan.passed)
+    if scan.n_used > 0:
+        gates += [("scan_min_ratio", scan.gated_min_ratio, ">=", 0.5 * c_dm),
+                  ("scan_closed_form_gap", scan.closed_form_gap, "<=", 1e-10)]
 
     if kind == "vortex":
         gamma = RadialBump(center=cfg.field.center, r0=0.27 * cfg.extent, width=0.115 * cfg.extent)
@@ -449,46 +482,43 @@ def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
             rep = interaction_identity_check(mm, gamma, weight, h)
             rels.append(rep.rel_residual)
         details["identity_rel_residuals"] = rels
-        ok = ok and rels[-1] <= cfg.tol("interaction_identity") and rels[-1] <= rels[0] + 1e-12
+        gates += [("interaction_identity", rels[-1], "<=", cfg.tol("interaction_identity")),
+                  ("identity_refines", rels[-1], "<=", rels[0] + 1e-12)]
     art = {"interaction.csv": csv_text(["beta", "closed", "direct", "coercivity"], rows).encode()}
-    return CheckResult("interaction", "PASS" if ok else "FAIL", details, art)
+    return CheckResult(details, gates, art)
 
 
 def check_factorize(cfg: ExperimentConfig, ladder: list[Level],
                     rng: np.random.Generator) -> CheckResult:
-    kind = cfg.field.kind
-
     def region_of(grid: Grid2):
-        # the coarsest scale at every level: one physical window, so norms compare
-        return _region(cfg, grid, ladder[0].eps + 2 * grid.spacing)
+        return _region(cfg, grid, _factorize_margin(cfg, grid))
 
     fs = _entropy_suite(cfg, rng)
     details: dict = {}
     rows = []
-    rep = vanishing_production_check(ladder, fs, region_of,
-                                     rate_threshold=cfg.tol("decay_rate"))
+    rep = vanishing_production_check(ladder, fs, region_of)
     details["rates"] = list(rep.rates)
-    details["negative_control"] = rep.flagged_negative_control
+    details["negative_control"] = not all(r >= cfg.tol("decay_rate") for r in rep.rates)
     for lbl, row in zip(rep.labels, rep.masses):
         rows += [[lbl, e, v] for e, v in zip(rep.eps_ladder, row)]
-    if kind == "jump":
-        ok = rep.flagged_negative_control
+    if cfg.field.kind == "jump":
+        gates = [("negative_control", details["negative_control"], "==", True)]
         details["expected"] = "persistent production mass (negative control)"
     else:
-        ok = rep.vanishes
+        gates = [("decay_rate", r, ">=", cfg.tol("decay_rate")) for r in rep.rates]
         frep = verify_factorization(ladder, fs[-1][1], cfg.p, region_of,
                                     rep.productions[-1])
         details["factorization"] = frep.to_json()
         rows += [["residual", e, v] for e, v in zip(frep.eps_ladder, frep.residual_norms)]
-        if frep.residual_norms[0] > 1e-13:
-            ok = ok and frep.residual_norms[-1] <= 0.5 * frep.residual_norms[0]
+        res = frep.residual_norms
+        if res[0] > 1e-13:
+            gates.append(("factorization_residual", res[-1], "<=", 0.5 * res[0]))
     art = {"factorization.csv": csv_text(["label", "eps", "value"], rows).encode()}
-    return CheckResult("factorize", "PASS" if ok else "FAIL", details, art)
+    return CheckResult(details, gates, art)
 
 
 def check_entropy_identities(cfg: ExperimentConfig, ladder: list[Level],
                              rng: np.random.Generator) -> CheckResult:
-    details: dict = {}
     t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     worst_ent = 0.0
     worst_harm = 0.0
@@ -522,23 +552,11 @@ def check_entropy_identities(cfg: ExperimentConfig, ladder: list[Level],
          + generated_entropy(CircleFunction.sine(2)).as_complex()
          + CircleFunction.harmonic(1)).sup_norm(512),
     )
-    details.update(
-        ent_residual=worst_ent,
-        closed_form_gap=worst_closed,
-        harmonic_extension_gap=worst_harm,
-        action_identity_gap=worst_action,
-        multiplier_paths_gap=worst_mult,
-        jin_kohn_relation_gap=jk_gap,
-    )
-    ok = (
-        worst_ent <= 1e-10
-        and worst_closed <= 1e-10
-        and worst_harm <= 1e-10
-        and worst_action <= 1e-10
-        and worst_mult <= 1e-12
-        and jk_gap <= 1e-10
-    )
-    return CheckResult("entropy-identities", "PASS" if ok else "FAIL", details, {})
+    gates = [("ent_residual", worst_ent, "<=", 1e-10), ("closed_form_gap", worst_closed, "<=", 1e-10),
+             ("harmonic_extension_gap", worst_harm, "<=", 1e-10),
+             ("action_identity_gap", worst_action, "<=", 1e-10),
+             ("multiplier_paths_gap", worst_mult, "<=", 1e-12), ("jin_kohn_relation_gap", jk_gap, "<=", 1e-10)]
+    return CheckResult({name: value for name, value, _, _ in gates}, gates, {})
 
 
 _CHECK_FNS = dict(zip(ALL_CHECKS, (check_produce, check_besov, check_kinetic, check_interaction,
@@ -554,28 +572,29 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
     except ValueError as exc:  # the field cannot be sampled on the config's grids
         raise ConfigError([f"config field: {exc}"]) from None
 
-    def one(name: str) -> CheckResult:
+    def one(name: str) -> tuple[dict, dict[str, bytes]]:
         if name == "interaction" and cfg.field.kind == "jump":  # the identity needs a rigid field
-            return CheckResult(name, "SKIP", {"reason": f"not applicable to {cfg.field.kind} fields"}, {})
+            return {"status": "SKIP", "details": {"reason": f"not applicable to {cfg.field.kind} fields"}}, {}
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ALL_CHECKS.index(name),)))
         try:
-            return _CHECK_FNS[name](cfg, ladder, rng)
+            res = _CHECK_FNS[name](cfg, ladder, rng)
         except Exception as exc:  # recorded, run continues
-            return CheckResult(name, "FAIL", {"error": f"{type(exc).__name__}: {exc}"}, {})
+            return {"status": "FAIL", "details": {"error": f"{type(exc).__name__}: {exc}"}}, {}
+        if failed := _failed_gates(res.gates):
+            return {"status": "FAIL", "details": res.details, "failed_gates": failed}, res.artifacts
+        return {"status": "PASS", "details": res.details}, res.artifacts
 
     results = {name: one(name) for name in ALL_CHECKS if name in cfg.checks}
 
     manifest: dict[str, str] = {}
     for name in sorted(results):
-        for rel, data in sorted(results[name].artifacts.items()):
+        for rel, data in sorted(results[name][1].items()):
             path = outdir / name / rel
             atomic_write_bytes(path, data)
             manifest[f"{name}/{rel}"] = sha256_hex(data)
     bundle = {
         "config": cfg.to_json(),
-        "checks": {
-            name: {"status": r.status, "details": r.details} for name, r in sorted(results.items())
-        },
+        "checks": {name: record for name, (record, _) in sorted(results.items())},
         "manifest": manifest,
         "meta": {
             "package": "eelab",
@@ -586,7 +605,7 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
     }
     text = json_dumps(bundle)
     atomic_write_text(outdir / "bundle.json", text)
-    failed = any(r.status == "FAIL" for r in results.values())
+    failed = any(record["status"] == "FAIL" for record, _ in results.values())
     return bundle, (1 if failed else 0)
 
 
@@ -605,6 +624,8 @@ def _load_config(path: str, args: argparse.Namespace | None) -> ExperimentConfig
     cfg = config_from_json(obj)
     if args is not None:
         override(cfg, args, os.environ)
+        if cut := _cut_test_functions(cfg):  # the constant field's suite follows the seed
+            raise ConfigError(cut)
     return cfg
 
 
@@ -666,6 +687,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "run":
         for name, rec in bundle["checks"].items():
             print(f"{rec['status']:4s}  {name}")
+            for g in rec.get("failed_gates", ()):
+                print(f"      failed gate {g['name']}: {g['value']} {g['op']} {g['bound']}")
         print(f"bundle: {Path(cfg.out) / 'bundle.json'}")
         return code
     m = build_field(cfg.field, cfg.grid())

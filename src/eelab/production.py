@@ -215,15 +215,14 @@ class ProductionReport:
 
 def production_ladder(
     levels: list[Level],
-    ext: ExtendedEntropy,
+    productions: list[ScalarField],
     p: float,
     region: BoolArray,
     label: str = "",
 ) -> ProductionReport:
-    """L^p norms of div Phi(m_eps) over a subdomain along a mollification ladder."""
+    """L^p norms over a subdomain of the productions div Phi(m_eps), one per level."""
     norms = []
-    for lv in levels:
-        d = div_entropy(lv.v, ext)
+    for lv, d in zip(levels, productions, strict=True):
         where = combine_masks(d.effective_mask(), region)
         norms.append(lp_norm(d.values, lv.m.grid, p, where))
     return ProductionReport(
@@ -240,17 +239,14 @@ class PointwiseBoundReport:
     sup_ratios: tuple[float, ...]       # over cells where the lattice average is positive
     dead_cell_fractions: tuple[float, ...]  # max |div| on zero-average cells / live scale
     c2: float
-    bound: float
-    passed: bool
 
 
 def pointwise_bound_check(
     levels: list[Level],
+    productions: list[ScalarField],
     pms: list[ScalarField],
     phi: EntropyMap,
-    ext: ExtendedEntropy,
     region: BoolArray,
-    bound: float,
 ) -> PointwiseBoundReport:
     """sup over cells of |div Phi(m_eps)| / (||Phi||_C2 P_eps + 1e-14) along the ladder.
 
@@ -258,20 +254,18 @@ def pointwise_bound_check(
     thin band at distance just below eps from a discontinuity the midpoint
     disk contains no crossing offsets (lattice average exactly zero) while
     the kernel tail still produces a superexponentially small divergence, so
-    those cells are diagnosed separately: their largest |div| must be
-    negligible against the live-cell production scale.  Passes when the
-    live ratio stays below the configured constant uniformly and the dead
-    diagnostic stays below 1e-4.  The entropy must actually be one
-    (membership residual is checked).  ``pms`` holds the cubic averages
-    P_eps of the levels, in their order.
+    those cells are diagnosed separately: the report gives their largest
+    |div| as a fraction of the live-cell production scale.  The entropy must
+    actually be one (membership residual is checked).  ``productions`` holds
+    div Phi(m_eps) and ``pms`` the cubic averages P_eps of the levels, in
+    their order.
     """
     if ent_residual(phi).sup_norm() > 1e-8:
         raise ValueError("pointwise bound requires an entropy (membership residual > 1e-8)")
     c2 = phi.c2_norm()
     ratios = []
     dead_fracs = []
-    for lv, pm in zip(levels, pms):
-        d = div_entropy(lv.v, ext)
+    for d, pm in zip(productions, pms, strict=True):
         where = combine_masks(d.effective_mask(), pm.effective_mask(), region)
         if not np.any(where):
             raise ValueError("empty subdomain after masking")
@@ -289,14 +283,11 @@ def pointwise_bound_check(
         # the 1e-8 floor keeps pure-roundoff divergences (fields with no
         # production at all) from registering as dead-cell mass
         dead_fracs.append(dead_max / max(live_scale, 1e-8))
-    sup = max(ratios)
     return PointwiseBoundReport(
         eps_ladder=tuple(lv.eps for lv in levels),
         sup_ratios=tuple(ratios),
         dead_cell_fractions=tuple(dead_fracs),
         c2=c2,
-        bound=bound,
-        passed=bool(sup <= bound and max(dead_fracs) <= 1e-4),
     )
 
 
@@ -315,20 +306,20 @@ class JumpMassReport:
 
 def jump_production_mass(
     levels: list[Level],
-    ext: ExtendedEntropy,
+    productions: list[ScalarField],
     expected: float,
     length_mask: BoolArray,
 ) -> JumpMassReport:
-    """Mass per unit length of div Phi(m_eps) over a strip around the jump line.
+    """Mass per unit length of the productions div Phi(m_eps), one per level, over
+    a strip around the jump line.
 
     Converges to the flux difference of the traces across the line.
     ``length_mask`` selects the strip cells and must contain the mollified
     layer.
     """
     masses = []
-    for lv in levels:
-        grid = lv.m.grid
-        d = div_entropy(lv.v, ext)
+    for d in productions:
+        grid = d.grid
         where = combine_masks(d.effective_mask(), length_mask)
         cols = np.any(where, axis=0)
         length = float(cols.sum()) * grid.spacing
@@ -350,7 +341,6 @@ class BoundedSequenceReport:
     lhs: float
     rhs: float
     ratio: float
-    passed: bool
 
 
 def cubic_average_besov_bound(
@@ -362,8 +352,8 @@ def cubic_average_besov_bound(
     h_ladder: list[float],
     pm: ScalarField,
 ) -> BoundedSequenceReport:
-    """Check ||P_eps||_{L^p(U)} <= |m|^3_{B^{1/3}_{3p,inf}(U')}, with ``pm`` the cubic
-    average P_eps of ``m``.
+    """Both sides of ||P_eps||_{L^p(U)} <= |m|^3_{B^{1/3}_{3p,inf}(U')}, with ``pm`` the
+    cubic average P_eps of ``m``.
 
     U' must contain the eps-enlargement of U; the seminorm ladder should
     reach below eps so the right-hand side sees the scales P_eps samples.
@@ -373,6 +363,4 @@ def cubic_average_besov_bound(
     rep = besov_seminorm(m, 1.0 / 3.0, 3.0 * p, h_ladder, outer)
     rhs = rep.seminorm**3
     ratio = lhs / rhs if rhs > 0 else float("inf")
-    return BoundedSequenceReport(
-        p=p, eps=eps, lhs=lhs, rhs=rhs, ratio=ratio, passed=bool(lhs <= rhs)
-    )
+    return BoundedSequenceReport(p=p, eps=eps, lhs=lhs, rhs=rhs, ratio=ratio)

@@ -236,7 +236,7 @@ class CoercivityReport:
     min_ratio: float
     n_used: int
     n_excluded: int
-    passed: bool
+    gated_min_ratio: float  # min ratio over the samples with |Dm|^{3+alpha} >= 1e-12
     samples: tuple[InteractionSample, ...]
     closed_form_gap: float
 
@@ -245,7 +245,6 @@ def coercivity_scan(
     m: AngleField,
     samples: list[tuple[tuple[float, float], float, tuple[float, float]]],
     weight: InteractionWeight,
-    c_required: float,
 ) -> CoercivityReport:
     """min over samples of Delta / |D^{he} m|^{3 + alpha}, floor-guarded.
 
@@ -253,10 +252,11 @@ def coercivity_scan(
     lie in the domain, which is checked for every sample.  A sample with
     |Dm| <= 1e-14 is excluded before any quadrature: its Delta is not
     integrated.  Each kept Delta is integrated with every indicator breakpoint
-    resolved, and ``min_ratio`` is over the kept samples.  The scan passes when
-    every Delta is within 1e-10 of the symmetric-pair closed form at the
-    half-angle arcsin(|Dm|/2), and the ratio reaches ``c_required`` wherever
-    |Dm|^{3+alpha} >= 1e-12 (below, the round-off of Delta dominates it).
+    resolved, and ``min_ratio`` is over the kept samples.  ``gated_min_ratio``
+    is the min over the kept samples with |Dm|^{3+alpha} >= 1e-12 (below, the
+    round-off of Delta dominates the ratio), and ``closed_form_gap`` the
+    largest distance of a Delta from the symmetric-pair closed form at the
+    half-angle arcsin(|Dm|/2).
     """
     used: list[InteractionSample] = []
     excluded = 0
@@ -287,7 +287,7 @@ def coercivity_scan(
         min_ratio=min_ratio,
         n_used=len(used),
         n_excluded=excluded,
-        passed=bool(min(gated, default=np.inf) >= c_required and gap <= 1e-10),
+        gated_min_ratio=float(min(gated, default=np.inf)),
         samples=tuple(used),
         closed_form_gap=gap,
     )

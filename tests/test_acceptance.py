@@ -50,6 +50,7 @@ from eelab.kinetic import (
 from eelab.production import (
     cubic_average_besov_bound,
     cubic_difference_average,
+    div_entropy,
     factorized_measure,
     jump_production_mass,
     mollified_level,
@@ -210,7 +211,7 @@ def test_criterion_08_jump_cost(jump_setup):
     )
     strip = g.rect_mask(-0.6, 0.6, yrow - 0.4, yrow + 0.4)
     levels = [mollified_level(m, eps) for eps in (0.25, 0.125)]
-    rep = jump_production_mass(levels, jin_kohn(1), expected, strip)
+    rep = jump_production_mass(levels, [div_entropy(lv.v, jin_kohn(1)) for lv in levels], expected, strip)
     verdict(8, rep.rel_errors[-1] <= 0.02,
             f"jump-cost mass per unit length (rel err {rep.rel_errors[-1]:.2e} <= 2e-2)")
 
@@ -230,7 +231,7 @@ def test_criterion_09_cubic_average(jump_setup):
     jump_ok, jump_ratios = True, []
     for p in (1.0, 7.0 / 6.0, 4.0 / 3.0):
         rep = cubic_average_besov_bound(m, eps, p, inner, outer, hs, pm=pm)
-        jump_ok &= rep.passed
+        jump_ok &= rep.lhs <= rep.rhs
         jump_ratios.append(rep.ratio)
     mv = build_field(VortexSpec(), g)
     pv = cubic_difference_average(mv, eps)
@@ -240,7 +241,7 @@ def test_criterion_09_cubic_average(jump_setup):
     vortex_ok = True
     for p in (1.0, 7.0 / 6.0, 4.0 / 3.0):
         rep = cubic_average_besov_bound(mv, eps, p, inner_v, outer_v, hs, pm=pv)
-        vortex_ok &= rep.passed
+        vortex_ok &= rep.lhs <= rep.rhs
     verdict(
         9,
         window and jump_ok and vortex_ok,
@@ -368,9 +369,9 @@ def test_criterion_13_factorization_consistency(jump_setup, vortex_ladder):
     )
     ok = (
         gap <= 1e-10
-        and rep_v.vanishes
-        and rep_c.vanishes
-        and rep_j.flagged_negative_control
+        and all(r >= 0.9 for r in rep_v.rates)
+        and all(r >= 0.9 for r in rep_c.rates)
+        and not all(r >= 0.9 for r in rep_j.rates)  # the negative control is flagged
     )
     verdict(
         13,

@@ -236,6 +236,9 @@ def test_env_overrides(tmp_path, monkeypatch, capsys):
     ([], {}, "x", "config seed must be an integer, got 'x'"),
     ([], {}, 5.7, "config seed must be an integer, got 5.7"),
     (["--check", "produce,nope"], {}, None, "--check must hold no unknown checks"),
+    # the constant field's kinetic test functions follow the seed; at 43 the grid cuts one off
+    ([], {}, 43, "the kinetic test function 'tensor-0' is nonzero on the outermost cell ring"),
+    (["--seed", "43"], {}, None, "the kinetic test function 'tensor-0' is nonzero"),
 ])
 def test_bad_run_overrides_rejected_before_compute(
     tmp_path, monkeypatch, capsys, flags, env, config_seed, fragment
@@ -274,16 +277,67 @@ def test_override_text_is_read_like_the_file(tmp_path, monkeypatch):
     assert _load_config(str(path), None).checks == tuple(BASE["checks"])
 
 
-def test_exit_status_reflects_failures(tmp_path):
-    # impossible tolerance turns a passing check into FAIL and exit 1
+def test_exit_status_reflects_failures(tmp_path, capsys):
+    # impossible tolerance turns a passing check into FAIL and exit 1; the bundle
+    # record and the printed report name the gate that failed
     obj = dict(BASE)
     obj["field"] = {"kind": "vortex"}
     obj["checks"] = ["besov"]
     obj["tolerances"] = {"smooth_slope": 1e9}
-    cfg = config_from_json(obj)
-    cfg.out = str(tmp_path / "out")
-    _, code = run_config(cfg)
-    assert code == 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    record = json.loads((tmp_path / "out" / "bundle.json").read_text())["checks"]["besov"]
+    slope = record["details"]["q=3"]["slope"]
+    assert record["failed_gates"] == [{"name": "smooth_slope", "value": slope, "op": ">=", "bound": 1e9}]
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "FAIL  besov", f"      failed gate smooth_slope: {slope} >= 1000000000.0"]
+
+
+#: an impossible value of each tolerance: above every measurement for a lower
+#: bound, below every one for an upper bound
+_IMPOSSIBLE = {name: 1e300 if name in ("decay_rate", "line_ratio_lo", "smooth_slope") else 1e-300
+               for name in cli.TOLERANCES}
+#: the (field, check) pairs whose gates read each tolerance, on BASE-sized configs
+_TOLERANCE_READERS = {
+    "trivial_production": {("constant", "produce")},
+    "pointwise_bound": {("vortex", "produce")},
+    "decay_rate": {("vortex", "produce"), ("vortex", "factorize")},
+    "line_ratio_lo": {("jump", "produce")},
+    "line_ratio_hi": {("jump", "produce")},
+    "jump_mass_rel": {("jump", "produce")},
+    "slope_tol": {("jump", "besov")},
+    "smooth_slope": {("vortex", "besov")},
+    "kinetic_tol_coarse": {("constant", "kinetic"), ("jump", "kinetic"), ("vortex", "kinetic")},
+    "interaction_agreement": {("constant", "interaction"), ("vortex", "interaction")},
+    "interaction_identity": {("vortex", "interaction")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.TOLERANCES))
+def test_every_tolerance_is_wired_to_its_gate(tmp_path, monkeypatch, name):
+    # every check on BASE-sized constant, jump and vortex configs with one
+    # tolerance impossible: exactly the checks that read it fail, each naming only
+    # that tolerance, at its configured bound (the vortex identity is stubbed with
+    # a positive residual so that its gate can fail)
+    assert set(_TOLERANCE_READERS) == set(cli.TOLERANCES)
+    monkeypatch.setattr(cli, "interaction_identity_check",
+                        lambda *args: SimpleNamespace(rel_residual=1e-3))
+    failed = set()
+    for kind, fld, n in (("constant", {"kind": "constant", "theta0": 0.3}, 64),
+                         ("jump", {"kind": "jump"}, 96), ("vortex", {"kind": "vortex"}, 64)):
+        obj = dict(BASE, field=fld, grid={"n": n, "extent": 2.0}, checks=list(cli.ALL_CHECKS),
+                   tolerances={name: _IMPOSSIBLE[name]}, out=str(tmp_path / kind))
+        bundle, _ = run_config(config_from_json(obj))
+        for check, record in bundle["checks"].items():
+            assert record["status"] != "FAIL" or "error" not in record["details"], (kind, check)
+            if record["status"] == "FAIL":
+                failed.add((kind, check))
+                assert {(g["name"], g["bound"]) for g in record["failed_gates"]} == {
+                    (name, _IMPOSSIBLE[name])}, (kind, check)
+            else:
+                assert "failed_gates" not in record, (kind, check)
+    assert failed == _TOLERANCE_READERS[name]
 
 
 def test_benchmark_tracer_contract(tmp_path):
@@ -411,6 +465,36 @@ def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
     assert sorted(f"{mod}.{cls}.{name}" for mod, cls, name in by_class) == sorted(reached)
 
 
+#: what a report field or a parameter of a library function would be called if it
+#: held a verdict or the bound that one is judged against
+_VERDICT_NAMES = {"passed", "bound", "c_required", "rate_threshold", "vanishes",
+                  "flagged_negative_control"}
+
+
+def test_only_cli_compares_with_bounds():
+    """Library reports hold measurements; ``cli`` alone judges them.  No class or
+    function in ``src/eelab`` outside ``cli.py`` declares a field or a parameter
+    with a verdict name."""
+    found = []
+    for path in (ROOT / "src" / "eelab").glob("*.py"):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                declared_names = [x.arg for x in params if x]
+            elif isinstance(node, ast.ClassDef):
+                targets = [t for stmt in node.body if isinstance(stmt, (ast.AnnAssign, ast.Assign))
+                           for t in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])]
+                declared_names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{path.stem}.{getattr(node, 'name', 'lambda')}.{name}"
+                      for name in declared_names if name in _VERDICT_NAMES]
+    assert found == []
+
+
 def _jump_config_with(path: str, value) -> dict:
     """The shipped jump config with ``value`` at ``path``; several space-separated
     paths take a tuple of values."""
@@ -457,6 +541,9 @@ def _jump_config_with(path: str, value) -> dict:
     ("levels", 5, "holds no cell (grid.n=256, levels=5, eps_cells=8)"),
     ("eps_cells", 30, "holds no cell (grid.n=256, levels=3, eps_cells=30)"),
     ("field.theta_plus", 0.0, "config field: jump traces violate the divergence-free matching"),
+    # the straddling test function, 0.5 either side of the line, crosses the top edge
+    ("field.point grid.n", ([0, 0.6], 128), "the kinetic test function 'straddling' is nonzero on "
+     "the outermost cell ring of the 128-cell grid: the grid's edge cuts its support off"),
 ])
 def test_bad_config_rejected_before_compute(tmp_path, capsys, path, value, fragment):
     cfg = tmp_path / "cfg.json"
@@ -511,9 +598,9 @@ def test_vortex_interaction_scan_passes_at_every_seed(monkeypatch):
     spawn = (cli.ALL_CHECKS.index("interaction"),)
     failed = [
         seed for seed in range(200)
-        if cli.check_interaction(
+        if cli._failed_gates(cli.check_interaction(
             cfg, ladder, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn))
-        ).status != "PASS"
+        ).gates)
     ]
     assert failed == []
 

@@ -204,13 +204,13 @@ def test_vanishing_production_vortex_and_negative_control():
     fs = [("cos2", CircleFunction.cosine(2)),
           ("rand", CircleFunction.random_real(6, np.random.default_rng(3)))]
     rep = vanishing_production_check(vortex_ladder(), fs, annulus)
-    assert rep.vanishes and not rep.flagged_negative_control
+    assert all(r >= 0.9 for r in rep.rates)  # every production vanishes: no negative control
     assert all(r > 0.9 for r in rep.rates)
 
     repj = vanishing_production_check(
         ladder(JumpSpec()), fs, lambda g: g.rect_mask(-0.5, 0.5, -0.35, 0.35)
     )
-    assert repj.flagged_negative_control
+    assert not all(r >= 0.9 for r in repj.rates)  # flagged as the negative control
     assert min(repj.rates) < 0.3
     # the persistent mass approaches the analytic jump cost per unit length:
     # for f = cos 2t the generated entropy is minus the first Jin-Kohn entropy
@@ -223,7 +223,7 @@ def test_vanishing_production_constant_noise_floor():
     fs = [("cos2", CircleFunction.cosine(2))]
     rep = vanishing_production_check(ladder(ConstantSpec(0.5), ((64, 0.16), (128, 0.08))), fs,
                                      lambda g: g.rect_mask(-0.5, 0.5, -0.5, 0.5))
-    assert rep.vanishes  # rounding-level masses count as vanished
+    assert all(r >= 0.9 for r in rep.rates)  # rounding-level masses count as vanished
 
 
 def test_pairing_consistency_exact():

@@ -28,6 +28,7 @@ from eelab.kinetic import (
     arc_integral,
     chi_difference_bound,
     chi_pairing,
+    edge_test_functions,
     kinetic_residual,
     pair_measure,
     theta_of_vec,
@@ -139,8 +140,7 @@ def test_chi_difference_bound():
     g = centered_grid(32, 2.0)
     m = build_field(VortexSpec(), g)
     q = CircleFunction.random_real(6, np.random.default_rng(2))
-    rep = chi_difference_bound(m, q, np.random.default_rng(3))
-    assert rep.passed and rep.max_ratio <= np.pi + 1e-9
+    assert chi_difference_bound(m, q, np.random.default_rng(3)) <= np.pi + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +280,17 @@ def test_jump_measure_pairs_like_entropy_jump_cost():
 
 
 def test_residual_rejects_boundary_support():
+    # on 32 cells of [-1, 1] the outermost ring has its centers at |x| = 0.96875
     g = centered_grid(32, 2.0)
     m = build_field(ConstantSpec(0.0), g)
-    zeta = SpaceTimeTestFunction(
-        TensorBump(center=(0.9, 0.0), halfwidth=(0.4, 0.3)), CircleFunction.cosine(1), "edge"
-    )
-    with pytest.raises(ValueError, match="boundary"):
-        kinetic_residual(m, None, [zeta], interior_margin=0.2)
+    q = CircleFunction.cosine(1)
+    inside = SpaceTimeTestFunction(TensorBump(center=(0.5, 0.0), halfwidth=(0.45, 0.3)), q, "inside")
+    assert len(kinetic_residual(m, None, [inside]).residuals) == 1
+    for center, halfwidth in (((0.9, 0.0), 0.4), ((0.6, 0.0), 0.38), ((0.0, -0.6), 0.38)):
+        zeta = SpaceTimeTestFunction(TensorBump(center=center, halfwidth=(halfwidth, halfwidth)), q, "edge")
+        assert edge_test_functions(g, [inside, zeta]) == ["edge"]
+        with pytest.raises(ValueError, match="'edge'.*boundary"):
+            kinetic_residual(m, None, [inside, zeta])
 
 
 def test_residual_with_factorized_measure_refines():

@@ -190,7 +190,7 @@ def interaction_functional(m, x, h, e, weight: InteractionWeight) -> Interaction
     return InteractionSample(x=tuple(x), h=h, e=(float(e[0]), float(e[1])), delta=delta, dm=dm)
 
 
-def coercivity_scan_oracle(m, samples, weight: InteractionWeight, c_required: float) -> CoercivityReport:
+def coercivity_scan_oracle(m, samples, weight: InteractionWeight) -> CoercivityReport:
     """The scan as it was when every sample was integrated, floor applied after."""
     used: list[InteractionSample] = []
     excluded = 0
@@ -212,32 +212,32 @@ def coercivity_scan_oracle(m, samples, weight: InteractionWeight, c_required: fl
         min_ratio=min_ratio,
         n_used=len(used),
         n_excluded=excluded,
-        passed=bool(min(gated, default=np.inf) >= c_required and gap <= 1e-10),
+        gated_min_ratio=float(min(gated, default=np.inf)),
         samples=tuple(used),
         closed_form_gap=gap,
     )
 
 
 def _scan_case(kind: str):
-    """(field, samples, weight, c_required) on which the scan excludes every
-    sample (constant), some (jump) or none (smooth)."""
+    """(field, samples, weight) on which the scan excludes every sample
+    (constant), some (jump) or none (smooth)."""
     if kind == "smooth":
         m = build_field(VortexSpec(), centered_grid(64, 2.4))
         rng = np.random.default_rng(2)
         pts = [rng.uniform(0.6, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(40)]
-        return m, [((z.real, z.imag), 0.05, (1.0, 0.0)) for z in pts], InteractionWeight(0.25), 0.2
+        return m, [((z.real, z.imag), 0.05, (1.0, 0.0)) for z in pts], InteractionWeight(0.25)
     m = build_field(ConstantSpec(0.3) if kind == "constant" else JumpSpec(), centered_grid(64, 2.0))
     rng = np.random.default_rng(3)
     samples = [((float(a), float(b)), h, (float(c), float(d)))
                for h in (0.1, 0.2, 0.4) for a, b, c, d in rng.uniform(-0.5, 0.5, (8, 4))]
-    return m, samples, InteractionWeight(0.5), 0.05
+    return m, samples, InteractionWeight(0.5)
 
 
 @pytest.mark.parametrize("kind", ["constant", "jump", "smooth"])
 def test_coercivity_scan_matches_integrate_every_sample_oracle_bitwise(kind):
-    m, samples, w, c = _scan_case(kind)
-    rep = coercivity_scan(m, samples, w, c_required=c)
-    ref = coercivity_scan_oracle(m, samples, w, c)
+    m, samples, w = _scan_case(kind)
+    rep = coercivity_scan(m, samples, w)
+    ref = coercivity_scan_oracle(m, samples, w)
     assert {"constant": rep.n_used == 0, "jump": rep.n_used * rep.n_excluded > 0,
             "smooth": rep.n_excluded == 0}[kind]
     for f in dataclasses.fields(CoercivityReport):
@@ -253,8 +253,8 @@ def test_coercivity_scan_integrates_only_the_samples_it_uses(monkeypatch, kind):
         return interaction_pair_value(theta0, theta1, weight)
 
     monkeypatch.setattr(regularity, "interaction_pair_value", spy)
-    m, samples, w, c = _scan_case(kind)
-    rep = coercivity_scan(m, samples, w, c_required=c)
+    m, samples, w = _scan_case(kind)
+    rep = coercivity_scan(m, samples, w)
     assert len(calls) == rep.n_used == len(samples) - rep.n_excluded
 
 
@@ -264,7 +264,7 @@ def test_coercivity_scan_checks_the_domain_of_excluded_samples():
     inside = ((0.1, 0.1), 0.2, (1.0, 0.0))
     for bad in (((0.95, 0.0), 0.2, (1.0, 0.0)), ((1.5, 0.0), 0.2, (1.0, 0.0))):
         with pytest.raises(ValueError, match="outside"):
-            coercivity_scan(m, [inside, bad], InteractionWeight(0.5), c_required=0.05)
+            coercivity_scan(m, [inside, bad], InteractionWeight(0.5))
 
 
 def test_interaction_functional_trivial_pairs():
@@ -295,10 +295,10 @@ def test_coercivity_scan_jump_and_floor():
     for h in (0.1, 0.2, 0.4):
         samples.append(((0.0, -h / 2), h, (0.0, 1.0)))   # crosses the jump
         samples.append(((0.3, 0.3), h, (1.0, 0.0)))      # constant side: excluded
-    rep = coercivity_scan(m, samples, w, c_required=0.05)
+    rep = coercivity_scan(m, samples, w)
     assert rep.n_excluded == 3
     assert rep.n_used == 3
-    assert rep.passed
+    assert rep.gated_min_ratio >= 0.05 and rep.closed_form_gap <= 1e-10
     # reduction to the symmetric pair: ratio matches the closed form exactly
     beta = np.pi / 4
     expected = float(symmetric_interaction_closed_form(np.array(beta), w)) / (2 * np.sin(beta)) ** 3.5
@@ -329,9 +329,9 @@ def test_coercivity_scan_smooth_field():
     # the scan divides by |Dm|^{3+alpha}, so the gate uses the same normalisation
     betas = np.linspace(0.005, np.pi / 2, 200)
     prof_min = (symmetric_interaction_closed_form(betas, w) / (2 * np.sin(betas)) ** 3.25).min()
-    rep = coercivity_scan(m, samples, w, c_required=0.5 * float(prof_min))
+    rep = coercivity_scan(m, samples, w)
     assert rep.closed_form_gap <= 1e-10
-    assert rep.passed
+    assert rep.gated_min_ratio >= 0.5 * float(prof_min)
 
 
 # ---------------------------------------------------------------------------
