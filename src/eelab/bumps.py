@@ -45,6 +45,10 @@ class RadialBump:
         u, _ = self._u(np.asarray(x, float), np.asarray(y, float))
         return _bump(u)
 
+    def reach(self) -> tuple[float, float]:
+        """Half-sizes of the support's bounding box about ``center``."""
+        return (self.r0 + self.width,) * 2
+
     def gradient(self, x, y) -> tuple[FloatArray, FloatArray]:
         x = np.asarray(x, float)
         y = np.asarray(y, float)
@@ -65,6 +69,10 @@ class TensorBump:
         u = (np.asarray(x, float) - self.center[0]) / self.halfwidth[0]
         v = (np.asarray(y, float) - self.center[1]) / self.halfwidth[1]
         return _bump(u) * _bump(v)
+
+    def reach(self) -> tuple[float, float]:
+        """Half-sizes of the support about ``center``."""
+        return self.halfwidth
 
     def gradient(self, x, y) -> tuple[FloatArray, FloatArray]:
         u = (np.asarray(x, float) - self.center[0]) / self.halfwidth[0]

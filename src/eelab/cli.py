@@ -182,7 +182,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
          cfg.alpha is not None and abs(cfg.alpha - (3 * cfg.p - 3)) > 1e-9),
     ) if bad]
     if cfg.n >> (cfg.levels - 1) >= 4:
-        violations += _empty_windows(cfg) + _cut_test_functions(cfg)
+        violations += _empty_windows(cfg)
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -223,15 +223,6 @@ def _kinetic_test_functions(cfg: ExperimentConfig) -> list[SpaceTimeTestFunction
         return [SpaceTimeTestFunction(bump, q, "annular")]
     bump = TensorBump(center=(0.05 * cfg.extent, cfg.field.point[1]), halfwidth=(box, box))
     return [SpaceTimeTestFunction(bump, q, "straddling")]
-
-
-def _cut_test_functions(cfg: ExperimentConfig) -> list[str]:
-    """The kinetic test functions that the edge of a level's grid cuts off."""
-    zetas = _kinetic_test_functions(cfg)
-    cut = {label: n for n, _ in cfg.refinement()
-           for label in edge_test_functions(centered_grid(n, cfg.extent), zetas)}
-    return [f"the kinetic test function {label!r} is nonzero on the outermost cell ring of the "
-            f"{n}-cell grid: the grid's edge cuts its support off" for label, n in cut.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +556,12 @@ _CHECK_FNS = dict(zip(ALL_CHECKS, (check_produce, check_besov, check_kinetic, ch
 def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Execute the configured checks, in ``ALL_CHECKS`` order on the calling thread,
     on one read-only ladder and write all artifacts; returns (bundle, exit code).
-    ConfigError if the field cannot be sampled on it."""
+    ConfigError if the field cannot be sampled on it or a kinetic test function leaves its domain."""
     outdir = Path(cfg.out)
+    if cut := "kinetic" in cfg.checks and edge_test_functions(cfg.grid(), _kinetic_test_functions(cfg)):
+        raise ConfigError([f"the kinetic test function {label!r} reaches past the domain "
+                           f"[-{cfg.extent / 2:g}, {cfg.extent / 2:g}]^2: its edge would cut the support off"
+                           for label in cut])
     try:
         ladder = refinement_ladder(cfg)
     except ValueError as exc:  # the field cannot be sampled on the config's grids
@@ -624,8 +619,6 @@ def _load_config(path: str, args: argparse.Namespace | None) -> ExperimentConfig
     cfg = config_from_json(obj)
     if args is not None:
         override(cfg, args, os.environ)
-        if cut := _cut_test_functions(cfg):  # the constant field's suite follows the seed
-            raise ConfigError(cut)
     return cfg
 
 

@@ -226,11 +226,9 @@ class KineticResidualReport:
 
 
 def edge_test_functions(grid: Grid2, zetas: list[SpaceTimeTestFunction]) -> list[str]:
-    """Labels of the test functions whose bump is nonzero on the outermost cell
-    ring of ``grid``: their support is cut off by the grid's edge."""
-    X, Y = grid.meshgrid()
-    ring = ~grid.interior_mask(grid.spacing)
-    return [z.label for z in zetas if np.any(z.bump(X[ring], Y[ring]) > 0)]
+    """Labels of the test functions whose support leaves the grid's domain (its edge cuts them)."""
+    return [z.label for z in zetas if not all(o <= c - r and c + r <= o + e for c, r, o, e in
+                                              zip(z.bump.center, z.bump.reach(), grid.origin, grid.extent))]
 
 
 def kinetic_residual(
@@ -242,7 +240,8 @@ def kinetic_residual(
 
     The transport term is exact in s (spectral arc integrals) and midpoint in
     x; the measure term is exact for atoms and for the jump-line oracle.
-    Test functions that the grid's edge cuts off (``edge_test_functions``) are rejected.
+    Test functions whose support leaves the grid's domain (``edge_test_functions``)
+    are rejected.
     """
     grid = m.grid
     if edge := edge_test_functions(grid, zetas):

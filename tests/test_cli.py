@@ -21,6 +21,7 @@ from eelab import cli, production
 from eelab.cli import ConfigError, _load_config, config_from_json, main, run_config
 from eelab.bumps import RadialBump
 from eelab.grids import ConstantSpec, JumpSpec, VortexSpec, build_field, centered_grid, mollify, read_field
+from eelab.kinetic import edge_test_functions
 from eelab.regularity import InteractionWeight, interaction_identity_check
 from eelab.reporting import json_dumps
 from eelab.schema import declared
@@ -236,9 +237,6 @@ def test_env_overrides(tmp_path, monkeypatch, capsys):
     ([], {}, "x", "config seed must be an integer, got 'x'"),
     ([], {}, 5.7, "config seed must be an integer, got 5.7"),
     (["--check", "produce,nope"], {}, None, "--check must hold no unknown checks"),
-    # the constant field's kinetic test functions follow the seed; at 43 the grid cuts one off
-    ([], {}, 43, "the kinetic test function 'tensor-0' is nonzero on the outermost cell ring"),
-    (["--seed", "43"], {}, None, "the kinetic test function 'tensor-0' is nonzero"),
 ])
 def test_bad_run_overrides_rejected_before_compute(
     tmp_path, monkeypatch, capsys, flags, env, config_seed, fragment
@@ -542,8 +540,8 @@ def _jump_config_with(path: str, value) -> dict:
     ("eps_cells", 30, "holds no cell (grid.n=256, levels=3, eps_cells=30)"),
     ("field.theta_plus", 0.0, "config field: jump traces violate the divergence-free matching"),
     # the straddling test function, 0.5 either side of the line, crosses the top edge
-    ("field.point grid.n", ([0, 0.6], 128), "the kinetic test function 'straddling' is nonzero on "
-     "the outermost cell ring of the 128-cell grid: the grid's edge cuts its support off"),
+    ("field.point grid.n", ([0, 0.6], 128), "the kinetic test function 'straddling' reaches past "
+     "the domain [-1, 1]^2: its edge would cut the support off"),
 ])
 def test_bad_config_rejected_before_compute(tmp_path, capsys, path, value, fragment):
     cfg = tmp_path / "cfg.json"
@@ -552,6 +550,36 @@ def test_bad_config_rejected_before_compute(tmp_path, capsys, path, value, fragm
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cut_kinetic_test_function_rejected_only_when_kinetic_runs(tmp_path, capsys):
+    # the edge point above cuts the straddling test function off; only a run whose
+    # final check list holds kinetic pairs it with anything
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_jump_config_with("field.point grid.n checks",
+                                                ([0, 0.6], 128, ["produce", "kinetic"]))))
+    assert main(["validate-config", "--config", str(cfg)]) == 0
+    assert main(["dump-field", "--config", str(cfg), "--out", str(tmp_path / "f.eelf")]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a"), "--check", "produce"]) != 2
+    assert json.loads((tmp_path / "a" / "bundle.json").read_text())["checks"].keys() == {"produce"}
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert "'straddling' reaches past the domain" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_no_constant_seed_cuts_a_kinetic_test_function(tmp_path):
+    # the constant suite draws centers in +-extent/4 and half-widths below extent/4,
+    # so its supports stay inside the domain whatever the seed
+    cfg = config_from_json(json.loads((ROOT / "configs" / "constant.json").read_text()))
+    for seed in range(1000):
+        cfg.seed = seed
+        assert edge_test_functions(cfg.grid(), cli._kinetic_test_functions(cfg)) == []
+    # seed 299 draws a bump that reaches the 64-cell grid's outermost cell ring
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(ROOT / "configs" / "constant.json"), "--out", str(out),
+                 "--seed", "299", "--check", "kinetic"]) == 0
+    assert json.loads((out / "bundle.json").read_text())["checks"]["kinetic"]["status"] == "PASS"
 
 
 # sha256 of the rendered config of each shipped file, as the benchmark child

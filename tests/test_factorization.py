@@ -204,8 +204,7 @@ def test_vanishing_production_vortex_and_negative_control():
     fs = [("cos2", CircleFunction.cosine(2)),
           ("rand", CircleFunction.random_real(6, np.random.default_rng(3)))]
     rep = vanishing_production_check(vortex_ladder(), fs, annulus)
-    assert all(r >= 0.9 for r in rep.rates)  # every production vanishes: no negative control
-    assert all(r > 0.9 for r in rep.rates)
+    assert all(r > 0.9 for r in rep.rates)  # every production vanishes: no negative control
 
     repj = vanishing_production_check(
         ladder(JumpSpec()), fs, lambda g: g.rect_mask(-0.5, 0.5, -0.35, 0.35)

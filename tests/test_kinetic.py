@@ -284,10 +284,17 @@ def test_residual_rejects_boundary_support():
     g = centered_grid(32, 2.0)
     m = build_field(ConstantSpec(0.0), g)
     q = CircleFunction.cosine(1)
-    inside = SpaceTimeTestFunction(TensorBump(center=(0.5, 0.0), halfwidth=(0.45, 0.3)), q, "inside")
-    assert len(kinetic_residual(m, None, [inside]).residuals) == 1
-    for center, halfwidth in (((0.9, 0.0), 0.4), ((0.6, 0.0), 0.38), ((0.0, -0.6), 0.38)):
-        zeta = SpaceTimeTestFunction(TensorBump(center=center, halfwidth=(halfwidth, halfwidth)), q, "edge")
+    # supports inside the domain, the last two on the outermost ring, the last ending on the edge
+    for bump in (TensorBump(center=(0.5, 0.0), halfwidth=(0.45, 0.3)),
+                 TensorBump(center=(0.6, 0.0), halfwidth=(0.38, 0.38)),
+                 RadialBump(center=(0.0, -0.2), r0=0.4, width=0.4)):
+        inside = SpaceTimeTestFunction(bump, q, "inside")
+        assert edge_test_functions(g, [inside]) == []
+        assert len(kinetic_residual(m, None, [inside]).residuals) == 1
+    for bump in (TensorBump(center=(0.9, 0.0), halfwidth=(0.4, 0.4)),
+                 TensorBump(center=(0.0, -0.6), halfwidth=(0.3, 0.45)),
+                 RadialBump(center=(0.0, 0.2), r0=0.4, width=0.45)):
+        zeta = SpaceTimeTestFunction(bump, q, "edge")
         assert edge_test_functions(g, [inside, zeta]) == ["edge"]
         with pytest.raises(ValueError, match="'edge'.*boundary"):
             kinetic_residual(m, None, [inside, zeta])
