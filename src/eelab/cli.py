@@ -311,7 +311,7 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
         inner = _region(cfg, grid, eps + grid.spacing)
         outer = (r > 0.45 * cfg.extent / 2 - eps) & (r < 0.7 * cfg.extent / 2 + eps)
         hs = [grid.spacing * c for c in cfg.h_ladder_cells]
-        bnd = cubic_average_besov_bound(m, eps, cfg.p, inner, outer, hs, pm=pms[-1])
+        [bnd] = cubic_average_besov_bound(m, eps, [cfg.p], inner, outer, hs, pm=pms[-1])
         details["bounded_sequence_ratio"] = bnd.ratio
         gates += [("pointwise_bound", max(bound.sup_ratios), "<=", cfg.tol("pointwise_bound")),
                   ("dead_cell_fraction", max(bound.dead_cell_fractions), "<=", 1e-4),
@@ -347,8 +347,8 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
         outer = grid.rect_mask(-box - eps_b, box + eps_b, spec.point[1] - box - eps_b,
                                spec.point[1] + box + eps_b)
         hs = [grid.spacing * c for c in cfg.h_ladder_cells]
-        ratios = [cubic_average_besov_bound(m, eps_b, p, inner, outer, hs, pm=pm).ratio
-                  for p in (1.0, 7.0 / 6.0, 4.0 / 3.0)]
+        ratios = [b.ratio for b in cubic_average_besov_bound(
+            m, eps_b, (1.0, 7.0 / 6.0, 4.0 / 3.0), inner, outer, hs, pm=pm)]
         details["bounded_sequence_ratios"] = ratios
         gates += [("jump_mass_rel", repm.rel_errors[-1], "<=", cfg.tol("jump_mass_rel")),
                   ("line_ratio_lo", ratio, ">=", cfg.tol("line_ratio_lo")),
@@ -374,8 +374,7 @@ def check_besov(cfg: ExperimentConfig, ladder: list[Level],
     details: dict = {}
     rows = []
     gates = []
-    for q in cfg.qs:
-        rep = besov_seminorm(m, cfg.s, q, hs, region)
+    for q, rep in zip(cfg.qs, besov_seminorm(m, cfg.s, cfg.qs, hs, region)):
         details[f"q={q:g}"] = asdict(rep)
         rows += [[q, h, v, c] for h, v, c in zip(rep.hs, rep.per_h, rep.cumulative)]
         if kind == "jump":

@@ -11,6 +11,7 @@ take its :class:`Level` records, coarsest first.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,10 +68,23 @@ def div_sigma_closed(v: VecField) -> tuple[ScalarField, ScalarField]:
     )
 
 
-def _changing_lines(uniform: BoolArray, first: FloatArray, at: slice, to: slice) -> slice | None:
-    """Span of the line pairs (at, to) other than two uniform lines of equal value, or None."""
-    live = np.flatnonzero(~(uniform[at] & uniform[to] & np.all(first[at] == first[to], axis=-1)))
-    return slice(live[0], live[-1] + 1) if live.size else None
+def _line_pairs(uniform: BoolArray, first: FloatArray, at: slice, to: slice):
+    """The line pairs (at, to) of one offset: the span of the pairs other than two
+    uniform lines of equal value, counted from ``at.start`` (None when there are
+    none), and, when every pair in that span has two uniform lines, the
+    |D^z m|^3 of each pair as its lines' first values give it, indexed by the
+    line at ``at`` (else None)."""
+    both = uniform[at] & uniform[to]
+    live = np.flatnonzero(~(both & np.all(first[at] == first[to], axis=-1)))
+    if not live.size:
+        return None, None
+    span = slice(live[0], live[-1] + 1)
+    if not both[span].all():
+        return span, None
+    d = first[to] - first[at]
+    term = np.zeros(len(uniform))
+    term[at] = np.hypot(d[:, 0], d[:, 1]) ** 3
+    return span, term
 
 
 def cubic_difference_average(m: AngleField, eps: float) -> ScalarField:
@@ -88,6 +102,15 @@ def cubic_difference_average(m: AngleField, eps: float) -> ScalarField:
     it changes nothing, and theta is finite (AngleField rejects anything
     else), so no NaN is skipped.
 
+    A pair of uniform lines has the same |D^z m|^3 all along it, whatever the
+    other component of z, so it is taken once per oy (rows) or ox (columns)
+    from the lines' first values, and a box whose row pairs, or else column
+    pairs, are all of that kind adds it as one vector broadcast along the box.
+    Each cell still gets one add per offset, in offset order, of a term with
+    the same bits: the values of a uniform line equal its first under ==, so
+    they differ at most in the sign of a zero, which hypot drops.  A box with
+    a non-uniform pair either way adds its full array of terms.
+
     The rows the boxes cover are split into one band per worker thread
     (``quadrature._run_tasks``), and each worker runs the whole offset loop over
     its band, so every cell gets the same terms in the same order.
@@ -101,31 +124,38 @@ def cubic_difference_average(m: AngleField, eps: float) -> ScalarField:
     # a line is uniform when every cell equals its first, in both components
     rows = np.all(vec == vec[:, :1], axis=(1, 2)), vec[:, 0]
     cols = np.all(vec == vec[:1], axis=(0, 2)), vec[0]
-    spans = {}  # offset o -> (row span for oy = o, column span for ox = o)
+    pairs = {}  # offset o -> (_line_pairs of the rows for oy = o, of the columns for ox = o)
     for o in range(-radius, radius + 1):
         (ya, xa), (yt, xt) = _overlap(grid, o, o)
-        spans[o] = _changing_lines(*rows, ya, yt), _changing_lines(*cols, xa, xt)
-    boxes = []  # (ox, oy, y0, y1, x0, x1): box rows y0:y1, columns x0:x1 of acc
+        pairs[o] = _line_pairs(*rows, ya, yt), _line_pairs(*cols, xa, xt)
+    # (ox, oy, y0, y1, x0, x1, row_terms, col_terms): box rows y0:y1, columns x0:x1 of
+    # acc, and the terms of its uniform row pairs or else column pairs (_line_pairs)
+    boxes = []
     for oy in range(-radius, radius + 1):
         for ox in range(-radius, radius + 1):
             if (ox == 0 and oy == 0) or (ox * h) ** 2 + (oy * h) ** 2 >= eps**2:
                 continue
             (ry, rx), _ = _overlap(grid, ox, oy)
-            by, bx = spans[oy][0], spans[ox][1]
+            (by, row_terms), (bx, col_terms) = pairs[oy][0], pairs[ox][1]
             if by is not None and bx is not None:
                 boxes.append((ox, oy, ry.start + by.start, ry.start + by.stop,
-                              rx.start + bx.start, rx.start + bx.stop))
+                              rx.start + bx.start, rx.start + bx.stop, row_terms, col_terms))
     lo, hi = min((b[2] for b in boxes), default=0), max((b[3] for b in boxes), default=0)
     k = min(quadrature._WORKERS, hi - lo)
     edges = [lo + (hi - lo) * i // max(k, 1) for i in range(k + 1)]
     acc = np.zeros((grid.ny, grid.nx))
 
     def band(j, _):
-        for ox, oy, y0, y1, x0, x1 in boxes:
+        for ox, oy, y0, y1, x0, x1, row_terms, col_terms in boxes:
             y0, y1 = max(y0, edges[j]), min(y1, edges[j + 1])
             if y0 < y1:
-                d = vec[y0 + oy:y1 + oy, x0 + ox:x1 + ox] - vec[y0:y1, x0:x1]
-                acc[y0:y1, x0:x1] += np.hypot(d[..., 0], d[..., 1]) ** 3
+                if row_terms is not None:
+                    acc[y0:y1, x0:x1] += row_terms[y0:y1, None]
+                elif col_terms is not None:
+                    acc[y0:y1, x0:x1] += col_terms[x0:x1]
+                else:
+                    d = vec[y0 + oy:y1 + oy, x0 + ox:x1 + ox] - vec[y0:y1, x0:x1]
+                    acc[y0:y1, x0:x1] += np.hypot(d[..., 0], d[..., 1]) ** 3
 
     quadrature._run_tasks(band, k)
     mask = grid.interior_mask(eps)
@@ -346,21 +376,25 @@ class BoundedSequenceReport:
 def cubic_average_besov_bound(
     m: AngleField,
     eps: float,
-    p: float,
+    ps: Sequence[float],
     inner: BoolArray,
     outer: BoolArray,
     h_ladder: list[float],
     pm: ScalarField,
-) -> BoundedSequenceReport:
-    """Both sides of ||P_eps||_{L^p(U)} <= |m|^3_{B^{1/3}_{3p,inf}(U')}, with ``pm`` the
-    cubic average P_eps of ``m``.
+) -> list[BoundedSequenceReport]:
+    """Both sides of ||P_eps||_{L^p(U)} <= |m|^3_{B^{1/3}_{3p,inf}(U')} for each p of
+    ``ps``, in their order, with ``pm`` the cubic average P_eps of ``m``.
 
     U' must contain the eps-enlargement of U; the seminorm ladder should
-    reach below eps so the right-hand side sees the scales P_eps samples.
+    reach below eps so the right-hand side sees the scales P_eps samples.  One
+    Besov pass over U' serves every exponent 3p.
     """
     where = combine_masks(pm.effective_mask(), inner)
-    lhs = lp_norm(pm.values, m.grid, p, where)
-    rep = besov_seminorm(m, 1.0 / 3.0, 3.0 * p, h_ladder, outer)
-    rhs = rep.seminorm**3
-    ratio = lhs / rhs if rhs > 0 else float("inf")
-    return BoundedSequenceReport(p=p, eps=eps, lhs=lhs, rhs=rhs, ratio=ratio)
+    reps = besov_seminorm(m, 1.0 / 3.0, [3.0 * p for p in ps], h_ladder, outer)
+    out = []
+    for p, rep in zip(ps, reps):
+        lhs = lp_norm(pm.values, m.grid, p, where)
+        rhs = rep.seminorm**3
+        out.append(BoundedSequenceReport(p=p, eps=eps, lhs=lhs, rhs=rhs,
+                                         ratio=lhs / rhs if rhs > 0 else float("inf")))
+    return out

@@ -9,6 +9,7 @@ the breakpoint-exact arc quadrature in :mod:`eelab.quadrature`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,33 +110,42 @@ def direction_offsets(grid: Grid2, h: float, n_directions: int) -> list[tuple[in
 def besov_seminorm(
     m: AngleField,
     s: float,
-    q: float,
+    qs: Sequence[float],
     h_ladder: list[float],
     region: BoolArray,
     n_directions: int = 16,
-) -> BesovReport:
-    """Finite-difference Besov ladder over a subdomain.
+) -> list[BesovReport]:
+    """Finite-difference Besov ladders over a subdomain, one report per exponent
+    of ``qs``, in their order.
 
     The direction sweep is a documented under-approximation of the true sup
     over increments; enlarging the region or the ladder never decreases the
     reported seminorm.  The (h, offset) norms run on the worker threads of
     ``quadrature._run_tasks``, and the sup over each h's norms is taken here,
-    in offset order, so the worker count changes no bit.
+    in offset order, so the worker count changes no bit.  Each offset's
+    differences and their magnitudes are taken once and serve every exponent:
+    a finite q raises a copy of the magnitudes, the sum of which has the bits
+    that one exponent alone would give, and q = inf takes their max.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    qs = tuple(qs)
+    if not qs:
+        raise ValueError("qs must hold at least one exponent, got none")
+    for q in qs:
+        if q < 1:
+            raise ValueError(f"q must be >= 1, got {q}")
     if not np.any(region):
         raise ValueError("empty subdomain after masking")
     hs = sorted(float(h) for h in h_ladder)
     vec = m.unit_vectors().values
     tasks = [(i, off) for i, h in enumerate(hs) for off in direction_offsets(m.grid, h, n_directions)]
-    norms = [0.0] * len(tasks)
+    norms = [[0.0] * len(tasks) for _ in qs]
 
     def norm(j, buf):
-        # ||D^z m||_{L^q(U)} for the offset z of task j, zero unless both ends lie
-        # in U.  Each value meets the operations of np.hypot(*D^z)[valid] ** q, so
-        # the bits are those, but only the valid differences reach hypot, and only
-        # the nonzero magnitudes pow (0 ** q = +0, and pow is slow on zeros)
+        # ||D^z m||_{L^q(U)} for the offset z of task j and each q, zero unless both
+        # ends lie in U.  Each value meets the operations of np.hypot(*D^z)[valid] ** q,
+        # so the bits are those, but only the valid differences reach hypot, and only
+        # the nonzero magnitudes pow (0 ** q = +0, and pow is slow on zeros); the
+        # difference buffer, free once compress has run, holds each q's powers
         at, to = _overlap(m.grid, *tasks[j][1])
         shape, n = region[at].shape, region[at].size
         valid = np.logical_and(region[at], region[to], out=buf[2][:n].reshape(shape))
@@ -144,29 +154,35 @@ def besov_seminorm(
             pairs = np.compress(valid.reshape(-1), diff.reshape(n, 2), axis=0,
                                 out=buf[1][: 2 * count].reshape(count, 2))
             mag = np.hypot(pairs[:, 0], pairs[:, 1], out=buf[3][:count])
-            if np.isinf(q):
-                norms[j] = float(mag.max())
-            else:
-                np.power(mag, q, out=mag, where=np.greater(mag, 0.0, out=buf[2][:count]))
-                norms[j] = float((np.sum(mag) * m.grid.cell_area()) ** (1.0 / q))
+            nonzero, pw = np.greater(mag, 0.0, out=buf[2][:count]), buf[0][:count]
+            for k, q in enumerate(qs):
+                if np.isinf(q):
+                    norms[k][j] = float(mag.max())
+                else:
+                    np.copyto(pw, mag)
+                    np.power(pw, q, out=pw, where=nonzero)
+                    norms[k][j] = float((np.sum(pw) * m.grid.cell_area()) ** (1.0 / q))
 
     _run_tasks(norm, len(tasks), lambda: (np.empty(vec.size), np.empty(vec.size),
                                           np.empty(vec.size // 2, dtype=bool), np.empty(vec.size // 2)))
-    # the max of 0.0 and an h's norms folds sup = max(sup, norm) in offset order
-    per_h = [max([0.0] + [v for (i, _), v in zip(tasks, norms) if i == k]) for k in range(len(hs))]
-    cumulative = list(np.maximum.accumulate(per_h))
-    seminorm = max(c / h**s for h, c in zip(hs, cumulative))
-    positive = [(h, v) for h, v in zip(hs, per_h) if v > 0]
-    if len(positive) >= 2:
-        lh = np.log([h for h, _ in positive])
-        lv = np.log([v for _, v in positive])
-        slope = float(np.polyfit(lh, lv, 1)[0])
-    else:
-        slope = float("nan")
-    return BesovReport(
-        s=s, q=q, hs=tuple(hs), per_h=tuple(per_h), cumulative=tuple(cumulative),
-        seminorm=float(seminorm), slope=slope, directions=n_directions,
-    )
+    reports = []
+    for q, q_norms in zip(qs, norms):
+        # the max of 0.0 and an h's norms folds sup = max(sup, norm) in offset order
+        per_h = [max([0.0] + [v for (i, _), v in zip(tasks, q_norms) if i == k]) for k in range(len(hs))]
+        cumulative = list(np.maximum.accumulate(per_h))
+        seminorm = max(c / h**s for h, c in zip(hs, cumulative))
+        positive = [(h, v) for h, v in zip(hs, per_h) if v > 0]
+        if len(positive) >= 2:
+            lh = np.log([h for h, _ in positive])
+            lv = np.log([v for _, v in positive])
+            slope = float(np.polyfit(lh, lv, 1)[0])
+        else:
+            slope = float("nan")
+        reports.append(BesovReport(
+            s=s, q=q, hs=tuple(hs), per_h=tuple(per_h), cumulative=tuple(cumulative),
+            seminorm=float(seminorm), slope=slope, directions=n_directions,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_criterion_09_cubic_average(jump_setup):
     outer = g.rect_mask(-box - eps, box + eps, yrow - box - eps, yrow + box + eps)
     jump_ok, jump_ratios = True, []
     for p in (1.0, 7.0 / 6.0, 4.0 / 3.0):
-        rep = cubic_average_besov_bound(m, eps, p, inner, outer, hs, pm=pm)
+        [rep] = cubic_average_besov_bound(m, eps, [p], inner, outer, hs, pm=pm)
         jump_ok &= rep.lhs <= rep.rhs
         jump_ratios.append(rep.ratio)
     mv = build_field(VortexSpec(), g)
@@ -240,7 +240,7 @@ def test_criterion_09_cubic_average(jump_setup):
     outer_v = (r > 0.45 - eps) & (r < 0.7 + eps)
     vortex_ok = True
     for p in (1.0, 7.0 / 6.0, 4.0 / 3.0):
-        rep = cubic_average_besov_bound(mv, eps, p, inner_v, outer_v, hs, pm=pv)
+        [rep] = cubic_average_besov_bound(mv, eps, [p], inner_v, outer_v, hs, pm=pv)
         vortex_ok &= rep.lhs <= rep.rhs
     verdict(
         9,
@@ -259,7 +259,7 @@ def test_criterion_10_besov_slopes(jump_setup):
     flat_ok = True
     growth_ok = True
     for q in (3.0, 4.0):
-        rep = besov_seminorm(m, 1.0 / 3.0, q, hs, region)
+        [rep] = besov_seminorm(m, 1.0 / 3.0, [q], hs, region)
         slopes[q] = rep.slope
         normalized = np.array(rep.per_h) / np.array(rep.hs) ** (1.0 / 3.0)
         if q == 3.0:

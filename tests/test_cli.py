@@ -214,6 +214,44 @@ def test_shipped_bundle_matches_benchmark_digest(tmp_path, workload, config, job
     assert hashlib.sha256(text).hexdigest() == digest["bundle_sha256"]
 
 
+# sha256 of json.dumps({"produce": record, "besov": record}, sort_keys=True) for
+# configs/vortex.json at seed 20240 with checks ["produce", "besov"], recorded
+# at the commit before produce and besov took one Besov pass for all their
+# exponents; the benchmark's vortex digest needs the 8 s interaction check
+VORTEX_PRODUCE_BESOV_SHA256 = "ecb53fcfbb01d4d125556cfebaf2a810230dcf24d91edb14896ef919bd063ce5"
+
+
+def test_shipped_vortex_produce_and_besov_records_unchanged(tmp_path):
+    obj = json.loads((ROOT / "configs" / "vortex.json").read_text())
+    obj.update(out=str(tmp_path / "out"), seed=20240, checks=["produce", "besov"])
+    bundle, _ = run_config(config_from_json(obj))
+    records = {name: bundle["checks"][name] for name in ("produce", "besov")}
+    text = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == VORTEX_PRODUCE_BESOV_SHA256
+
+
+def test_each_check_takes_one_besov_pass(tmp_path, monkeypatch):
+    # the jump's produce check bounds P_eps at three exponents, and besov fits
+    # slopes at each configured q: one Besov pass each serves them all
+    fld, _, n = _REACHING_RUNS[1]
+    calls = []
+
+    def spy(check, fn):
+        def besov(m, s, qs, *args, **kwargs):
+            calls.append((check, qs))
+            return fn(m, s, qs, *args, **kwargs)
+        return besov
+
+    monkeypatch.setattr(production, "besov_seminorm", spy("produce", production.besov_seminorm))
+    monkeypatch.setattr(cli, "besov_seminorm", spy("besov", cli.besov_seminorm))
+    obj = dict(BASE, field=fld, grid={"n": n, "extent": 2.0}, checks=["produce", "besov"],
+               exponents={"p": 7 / 6, "q": [3.0, 4.0]}, out=str(tmp_path / "out"))
+    cfg = config_from_json(obj)
+    bundle, _ = run_config(cfg)
+    assert [r["details"].get("error") for r in bundle["checks"].values()] == [None] * 2
+    assert calls == [("produce", [3.0 * p for p in (1.0, 7.0 / 6.0, 4.0 / 3.0)]), ("besov", cfg.qs)]
+
+
 def test_env_overrides(tmp_path, monkeypatch, capsys):
     path = tmp_path / "cfg.json"
     payload = dict(BASE)

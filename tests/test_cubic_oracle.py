@@ -3,7 +3,8 @@
 The oracle is the plain per-offset loop: every offset of the disk sums
 |D^z m|^3 over its whole overlap, zero differences included.  The library
 skips the row and column pairs whose difference is exactly zero (uniform
-lines with equal values); it must reproduce the oracle bit for bit
+lines with equal values) and adds the term of a pair of uniform lines as one
+vector; it must reproduce the oracle bit for bit
 (``tobytes`` equality), which is what keeps the jump bundle byte-identical.
 """
 
@@ -59,7 +60,8 @@ def assert_bitwise(m: AngleField, eps: float) -> None:
 # a few repeated angles, so that equal and unequal neighbouring lines both occur
 ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 4, 3 * np.pi / 4, np.pi]),
                    st.floats(0.0, 2 * np.pi))
-KINDS = ("random", "constant", "horizontal", "vertical", "diagonal", "two-parallel", "stripes")
+KINDS = ("random", "constant", "horizontal", "vertical", "diagonal", "two-parallel", "stripes",
+         "partly-uniform")
 
 
 @st.composite
@@ -85,11 +87,17 @@ def angle_fields(draw) -> AngleField:
         r0, r1 = sorted((draw(st.integers(0, n)), draw(st.integers(0, n))))
         c = draw(ANGLES)
         theta = np.where(line < r0, a, np.where(line < r1, b, c))
-    else:  # uniform rows (or columns) whose values differ from line to line
+    elif kind == "stripes":  # uniform rows (or columns) whose values differ from line to line
         rows = draw(st.booleans())
         vals = np.array(draw(st.lists(ANGLES, min_size=ny if rows else nx,
                                       max_size=ny if rows else nx)))
         theta = vals[j] if rows else vals[i]
+    else:  # stripes on one side of a line and random angles on the other, so that
+        # one offset's box holds uniform and non-uniform line pairs
+        line, n = (j, ny) if draw(st.booleans()) else (i, nx)
+        vals = np.array(draw(st.lists(ANGLES, min_size=n, max_size=n)))
+        rand = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 2 * np.pi, (ny, nx))
+        theta = np.where(line < draw(st.integers(0, n)), vals[line], rand)
     return AngleField(grid, theta)
 
 
@@ -99,12 +107,23 @@ def angle_fields(draw) -> AngleField:
 _ROWS = np.indices((10, 12))[0]
 _JUMP_ROWS = AngleField(Grid2(12, 10, 0.1), np.where(_ROWS < 5, np.pi / 4, 3 * np.pi / 4))
 _EQUAL_ROWS = AngleField(Grid2(12, 10, 0.1), np.where(_ROWS < 5, 0.5, 0.5))
+# stripes of unequal values in rows 0-4 and random angles below: the boxes of
+# small oy hold both kinds of row pair, and a band edge of three workers falls
+# among the stripes; and the same with columns
+_PARTLY = np.where(_ROWS < 5, 0.4 * _ROWS, np.random.default_rng(3).uniform(0, 2 * np.pi, (10, 12)))
+_PARTLY_ROWS = AngleField(Grid2(12, 10, 0.1), _PARTLY)
+_PARTLY_COLS = AngleField(Grid2(10, 12, 0.1), _PARTLY.T.copy())
+# uniform columns on both sides of a vertical line: every box adds a row of terms
+_JUMP_COLS = AngleField(Grid2(10, 12, 0.1), _JUMP_ROWS.theta.T.copy())
 
 
 @settings(max_examples=150, deadline=None)
 @given(angle_fields(), st.floats(0.0, 1.0))
 @example(_JUMP_ROWS, 0.125)
 @example(_EQUAL_ROWS, 0.125)
+@example(_PARTLY_ROWS, 0.125)
+@example(_PARTLY_COLS, 0.125)
+@example(_JUMP_COLS, 0.125)
 def test_cubic_difference_average_matches_oracle_bitwise(m, frac):
     # from the smallest resolved scale, 2 cells, up to a disk wider than the grid,
     # with the default worker count and with three workers, which split the

@@ -327,7 +327,7 @@ def test_bounded_sequence_jump_and_vortex():
     inner = g.rect_mask(-box, box, yrow - box, yrow + box)
     outer = g.rect_mask(-box - eps, box + eps, yrow - box - eps, yrow + box + eps)
     for p in (1.0, 7.0 / 6.0, 4.0 / 3.0):
-        rep = cubic_average_besov_bound(mj, eps, p, inner, outer, hs, pm=pm)
+        [rep] = cubic_average_besov_bound(mj, eps, [p], inner, outer, hs, pm=pm)
         assert rep.lhs <= rep.rhs, (p, rep.ratio)
     mv = build_field(VortexSpec(), g)
     pv = cubic_difference_average(mv, eps)
@@ -335,7 +335,7 @@ def test_bounded_sequence_jump_and_vortex():
     inner_v = annulus(g, 0.45, 0.7) & g.interior_mask(eps + g.spacing)
     outer_v = (r > 0.45 - eps) & (r < 0.7 + eps)
     for p in (1.0, 7.0 / 6.0, 4.0 / 3.0):
-        rep = cubic_average_besov_bound(mv, eps, p, inner_v, outer_v, hs, pm=pv)
+        [rep] = cubic_average_besov_bound(mv, eps, [p], inner_v, outer_v, hs, pm=pv)
         assert rep.lhs <= rep.rhs, (p, rep.ratio)
 
 

@@ -343,7 +343,7 @@ def test_besov_constant_zero():
     g = centered_grid(64, 2.0)
     m = build_field(ConstantSpec(1.0), g)
     hs = [g.spacing * k for k in (4, 8, 16)]
-    rep = besov_seminorm(m, 1 / 3, 3, hs, g.rect_mask(-0.6, 0.6, -0.6, 0.6))
+    [rep] = besov_seminorm(m, 1 / 3, [3], hs, g.rect_mask(-0.6, 0.6, -0.6, 0.6))
     assert rep.seminorm == 0.0
 
 
@@ -352,8 +352,8 @@ def test_besov_jump_slopes_and_flatness():
     m = build_field(JumpSpec(), g)
     hs = [g.spacing * 2**k for k in range(2, 7)]
     region = g.rect_mask(-0.75, 0.75, -0.75, 0.75)
-    r3 = besov_seminorm(m, 1 / 3, 3, hs, region)
-    r4 = besov_seminorm(m, 1 / 3, 4, hs, region)
+    [r3] = besov_seminorm(m, 1 / 3, [3], hs, region)
+    [r4] = besov_seminorm(m, 1 / 3, [4], hs, region)
     assert abs(r3.slope - 1 / 3) <= 0.03
     assert abs(r4.slope - 1 / 4) <= 0.03
     # B^{1/3}_{3,inf} ladder is flat within 10%
@@ -371,10 +371,10 @@ def test_besov_monotone_in_region_and_ladder():
     hs = [g.spacing * 2**k for k in range(2, 5)]
     small = g.rect_mask(-0.4, 0.4, -0.4, 0.4)
     big = g.rect_mask(-0.7, 0.7, -0.7, 0.7)
-    a = besov_seminorm(m, 1 / 3, 3, hs, small).seminorm
-    b = besov_seminorm(m, 1 / 3, 3, hs, big).seminorm
+    a = besov_seminorm(m, 1 / 3, [3], hs, small)[0].seminorm
+    b = besov_seminorm(m, 1 / 3, [3], hs, big)[0].seminorm
     assert b >= a
-    c = besov_seminorm(m, 1 / 3, 3, hs + [g.spacing * 32], big).seminorm
+    c = besov_seminorm(m, 1 / 3, [3], hs + [g.spacing * 32], big)[0].seminorm
     assert c >= b
 
 
@@ -382,7 +382,17 @@ def test_besov_rejects_empty_region():
     g = centered_grid(64, 2.0)
     m = build_field(ConstantSpec(0.0), g)
     with pytest.raises(ValueError, match="empty"):
-        besov_seminorm(m, 1 / 3, 3, [0.1], np.zeros((64, 64), dtype=bool))
+        besov_seminorm(m, 1 / 3, [3], [0.1], np.zeros((64, 64), dtype=bool))
+
+
+@pytest.mark.parametrize("qs, match", [([], "at least one exponent, got none"),
+                                       ([3, 0.5, 4], "q must be >= 1, got 0.5")])
+def test_besov_rejects_bad_exponents_before_any_work(qs, match, monkeypatch):
+    g = centered_grid(64, 2.0)
+    m = build_field(ConstantSpec(0.0), g)
+    monkeypatch.setattr(type(m), "unit_vectors", None)  # no difference may be taken
+    with pytest.raises(ValueError, match=match):
+        besov_seminorm(m, 1 / 3, qs, [0.1], np.ones((64, 64), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,27 @@ def test_besov_matches_oracle_at_any_worker_count(q, monkeypatch):
     for m in fields():
         for region in regions(m.grid):
             want = oracle_per_h(m, q, hs(m.grid), region)
-            default = besov_seminorm(m, 1 / 3, q, hs(m.grid), region)
+            [default] = besov_seminorm(m, 1 / 3, [q], hs(m.grid), region)
             assert same_floats(default.per_h, want)
             for workers in (1, 3):
                 monkeypatch.setattr(quadrature, "_WORKERS", workers)
-                assert repr(besov_seminorm(m, 1 / 3, q, hs(m.grid), region)) == repr(default)
+                assert repr(besov_seminorm(m, 1 / 3, [q], hs(m.grid), region)) == repr([default])
+            monkeypatch.undo()
+
+
+def test_one_besov_pass_matches_oracle_for_every_exponent(monkeypatch):
+    """One call with every exponent of QS: the magnitudes each offset shares
+    between the exponents give each report the bits of its exponent alone."""
+    for m in fields():
+        for region in regions(m.grid):
+            want = [oracle_per_h(m, q, hs(m.grid), region) for q in QS]
+            default = besov_seminorm(m, 1 / 3, QS, hs(m.grid), region)
+            assert [rep.q for rep in default] == list(QS)
+            for rep, per_h in zip(default, want, strict=True):
+                assert same_floats(rep.per_h, per_h)
+            for workers in (1, 3):
+                monkeypatch.setattr(quadrature, "_WORKERS", workers)
+                assert repr(besov_seminorm(m, 1 / 3, QS, hs(m.grid), region)) == repr(default)
             monkeypatch.undo()
 
 
@@ -120,7 +136,18 @@ def test_besov_matches_oracle_on_random_fields(m, q, seed):
     region = np.random.default_rng(seed).random((m.grid.ny, m.grid.nx)) < 0.7
     region[0, 0] = True
     want = oracle_per_h(m, q, hs(m.grid), region)
-    assert same_floats(besov_seminorm(m, 1 / 3, q, hs(m.grid), region).per_h, want)
+    assert same_floats(besov_seminorm(m, 1 / 3, [q], hs(m.grid), region)[0].per_h, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(angle_fields(), st.integers(0, 2**32 - 1))
+@example(jump_field(40, 29, True, 13), 0)
+def test_one_besov_pass_matches_oracle_on_random_fields(m, seed):
+    region = np.random.default_rng(seed).random((m.grid.ny, m.grid.nx)) < 0.7
+    region[0, 0] = True
+    reps = besov_seminorm(m, 1 / 3, QS, hs(m.grid), region)
+    for q, rep in zip(QS, reps, strict=True):
+        assert same_floats(rep.per_h, oracle_per_h(m, q, hs(m.grid), region))
 
 
 def test_cubic_average_is_the_same_at_any_worker_count(monkeypatch):
@@ -143,7 +170,7 @@ def test_every_call_joins_its_threads(monkeypatch):
     monkeypatch.setattr(quadrature, "_WORKERS", 3)
     m = fields()[0]
     before = threading.enumerate()
-    besov_seminorm(m, 1 / 3, 3.5, hs(m.grid), regions(m.grid)[1])
+    besov_seminorm(m, 1 / 3, [3.5], hs(m.grid), regions(m.grid)[1])
     assert threading.enumerate() == before
     cubic_difference_average(m, 4 * m.grid.spacing)
     assert threading.enumerate() == before
@@ -170,7 +197,7 @@ def test_a_raising_task_reaches_the_caller_after_the_join(monkeypatch):
     monkeypatch.setattr("eelab.regularity._overlap", bad_overlap)
     m = fields()[0]
     with pytest.raises(ValueError, match="offset"):
-        besov_seminorm(m, 1 / 3, 3.5, hs(m.grid), regions(m.grid)[0])
+        besov_seminorm(m, 1 / 3, [3.5], hs(m.grid), regions(m.grid)[0])
     assert threading.enumerate() == before
 
 
@@ -181,14 +208,14 @@ def test_more_workers_than_cpus_under_frequent_thread_switches(monkeypatch):
     m = fields()[2]
     region, eps = regions(m.grid)[3], 6 * m.grid.spacing
     monkeypatch.setattr(quadrature, "_WORKERS", 1)
-    besov = repr(besov_seminorm(m, 1 / 3, 4, hs(m.grid), region))
+    besov = repr(besov_seminorm(m, 1 / 3, [4], hs(m.grid), region))
     cubic = cubic_difference_average(m, eps).values.tobytes()
     monkeypatch.setattr(quadrature, "_WORKERS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            assert repr(besov_seminorm(m, 1 / 3, 4, hs(m.grid), region)) == besov
+            assert repr(besov_seminorm(m, 1 / 3, [4], hs(m.grid), region)) == besov
             assert cubic_difference_average(m, eps).values.tobytes() == cubic
     finally:
         sys.setswitchinterval(interval)
