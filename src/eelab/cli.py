@@ -87,7 +87,6 @@ from .production import (
 from .regularity import (
     InteractionWeight,
     besov_seminorm,
-    coercivity_profile,
     coercivity_scan,
     interaction_identity_check,
     symmetric_interaction_closed_form,
@@ -304,8 +303,7 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
         details["decay_rate"] = rep.decay_rate()
         rows += [[f"{rep.label}", e, v] for e, v in zip(rep.eps_ladder, rep.lp_norms)]
         pms = [cubic_difference_average(lv.m, lv.eps) for lv in scales[1:]]
-        bound = pointwise_bound_check(scales[1:], prods[1:], pms, jin_kohn_circle(1),
-                                      _region(cfg, grid))
+        bound = pointwise_bound_check(prods[1:], pms, jin_kohn_circle(1), _region(cfg, grid))
         details["pointwise_sup_ratios"] = list(bound.sup_ratios)
         r = np.hypot(*grid.meshgrid())
         inner = _region(cfg, grid, eps + grid.spacing)
@@ -433,7 +431,7 @@ def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
     closed = symmetric_interaction_closed_form(betas, weight)
     direct = symmetric_pair_interaction(betas, weight)
     agreement = float(np.max(np.abs(closed - direct)))
-    prof = coercivity_profile(weight, betas)
+    prof = closed / betas ** (3 + alpha)
     c_alpha = float(np.min(prof))
     rows += [[float(b), float(c), float(d), float(r)]
              for b, c, d, r in zip(betas, closed, direct, prof)]
@@ -446,13 +444,10 @@ def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
     m = ladder[-1].m
 
     margin = 0.1 * cfg.extent
-    pts = []
     grid = m.grid
     lo = grid.origin[0] + margin
     hi = grid.origin[0] + grid.extent[0] - margin - 0.05 * cfg.extent
-    for _ in range(64):
-        x = rng.uniform(lo, hi, 2)
-        pts.append(((float(x[0]), float(x[1])), 0.05 * cfg.extent, (1.0, 0.0)))
+    pts = [((float(x), float(y)), 0.05 * cfg.extent, (1.0, 0.0)) for x, y in rng.uniform(lo, hi, (64, 2))]
     # the scan divides by |Dm|^{3+alpha} = (2 sin beta)^{3+alpha}, not beta^{3+alpha};
     # in that normalisation the closed form is smallest at beta = pi/2 (the last beta)
     c_dm = float(np.min(closed / (2 * np.sin(betas)) ** (3 + alpha)))

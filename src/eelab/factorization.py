@@ -118,7 +118,6 @@ class VanishingProductionReport:
     labels: tuple[str, ...]
     eps_ladder: tuple[float, ...]
     masses: tuple[tuple[float, ...], ...]   # per label, per eps: L^1 production mass
-    nu_masses: tuple[float, ...]            # per eps: L^1 mass of the measure density
     rates: tuple[float, ...]
     productions: tuple[tuple[ScalarField, ...], ...]  # per label, per eps: div Phi_f(m_eps)
 
@@ -165,7 +164,6 @@ def vanishing_production_check(
         labels=tuple(lbl for lbl, _ in fs),
         eps_ladder=tuple(eps_ladder),
         masses=tuple(tuple(row) for row in rows),
-        nu_masses=tuple(nu_masses),
         rates=tuple(rates),
         productions=tuple(tuple(prods) for prods in productions),
     )

@@ -75,6 +75,11 @@ class Grid2:
             & (self.origin[1] + ly - y >= margin - eps)
         )
 
+    def contains(self, x, y):
+        """Whether each point (x, y) lies in the closed domain box."""
+        (x0, y0), (lx, ly) = self.origin, self.extent
+        return (x0 <= x) & (x <= x0 + lx) & (y0 <= y) & (y <= y0 + ly)
+
     def rect_mask(self, x0: float, x1: float, y0: float, y1: float) -> BoolArray:
         x, y = self.meshgrid()
         return (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)

@@ -180,16 +180,12 @@ class JumpLineMeasure:
         n = self.spec.unit_normal()
         tau = np.array([-n[1], n[0]])
         px, py = self.spec.point
-        lx, ly = grid.extent
         # arclength parametrization clipped to the grid rectangle
-        tmax = float(np.hypot(lx, ly))
+        tmax = float(np.hypot(*grid.extent))
         ts = np.arange(-tmax, tmax + grid.spacing / 2, grid.spacing)
         xs = px + ts * tau[0]
         ys = py + ts * tau[1]
-        inside = (
-            (xs >= grid.origin[0]) & (xs <= grid.origin[0] + lx)
-            & (ys >= grid.origin[1]) & (ys <= grid.origin[1] + ly)
-        )
+        inside = grid.contains(xs, ys)
         xs, ys = xs[inside], ys[inside]
         qc, qs = _cos_sin_times(q)
         tp, tm = self.spec.theta_plus, self.spec.theta_minus

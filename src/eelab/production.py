@@ -265,14 +265,11 @@ def production_ladder(
 
 @dataclass(frozen=True)
 class PointwiseBoundReport:
-    eps_ladder: tuple[float, ...]
     sup_ratios: tuple[float, ...]       # over cells where the lattice average is positive
     dead_cell_fractions: tuple[float, ...]  # max |div| on zero-average cells / live scale
-    c2: float
 
 
 def pointwise_bound_check(
-    levels: list[Level],
     productions: list[ScalarField],
     pms: list[ScalarField],
     phi: EntropyMap,
@@ -287,8 +284,8 @@ def pointwise_bound_check(
     those cells are diagnosed separately: the report gives their largest
     |div| as a fraction of the live-cell production scale.  The entropy must
     actually be one (membership residual is checked).  ``productions`` holds
-    div Phi(m_eps) and ``pms`` the cubic averages P_eps of the levels, in
-    their order.
+    div Phi(m_eps) and ``pms`` the cubic averages P_eps of a ladder's levels,
+    in their order.
     """
     if ent_residual(phi).sup_norm() > 1e-8:
         raise ValueError("pointwise bound requires an entropy (membership residual > 1e-8)")
@@ -313,12 +310,7 @@ def pointwise_bound_check(
         # the 1e-8 floor keeps pure-roundoff divergences (fields with no
         # production at all) from registering as dead-cell mass
         dead_fracs.append(dead_max / max(live_scale, 1e-8))
-    return PointwiseBoundReport(
-        eps_ladder=tuple(lv.eps for lv in levels),
-        sup_ratios=tuple(ratios),
-        dead_cell_fractions=tuple(dead_fracs),
-        c2=c2,
-    )
+    return PointwiseBoundReport(sup_ratios=tuple(ratios), dead_cell_fractions=tuple(dead_fracs))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +322,6 @@ def pointwise_bound_check(
 class JumpMassReport:
     eps_ladder: tuple[float, ...]
     masses: tuple[float, ...]
-    expected: float
     rel_errors: tuple[float, ...]
 
 
@@ -359,7 +350,6 @@ def jump_production_mass(
     return JumpMassReport(
         eps_ladder=tuple(lv.eps for lv in levels),
         masses=tuple(masses),
-        expected=expected,
         rel_errors=rel,
     )
 

@@ -165,7 +165,7 @@ def _run_tasks(task, n: int, buffers=lambda: None) -> None:
     """``task(j, buf)`` for j < n on up to _WORKERS threads, each taking the next
     j when free, with a ``buf = buffers()`` each, made here so that its memory
     returns to this thread's heap.  A task's exception is raised once all
-    threads are joined."""
+    threads are joined.  A lone buffer set runs on the calling thread."""
     bufs = [buffers() for _ in range(min(_WORKERS, n))]
     taken = itertools.count()   # next() on it is one atomic step under the GIL
 
@@ -173,7 +173,10 @@ def _run_tasks(task, n: int, buffers=lambda: None) -> None:
         while (j := next(taken)) < n:
             task(j, buf)
 
-    with ThreadPoolExecutor(max(len(bufs), 1)) as pool:
+    if len(bufs) < 2:
+        list(map(work, bufs))
+        return
+    with ThreadPoolExecutor(len(bufs)) as pool:
         list(pool.map(work, bufs))
 
 
@@ -314,37 +317,27 @@ def _evaluate(kind: str, rect, plan: _Plan, buffers, weight, n: int, out) -> Non
         out[i:i + len(block)] = np.sum(block, axis=(-1, -2, -3))
 
 
-def _arc_rectangle_chunk(kind: str, slo, shi, tlo, thi, weight, n: int):
-    """Rectangle integrals of one layout group (see _CHUNK), on the calling thread."""
-    rect = [a.reshape(-1) for a in (slo, shi, tlo, thi)]
-    plans = _plan(rect, [(0, slo.size)])
-    buffers, out = _buffers(plans, n), np.empty(slo.size)
-    for plan in plans:
-        _evaluate(kind, rect, plan, buffers, weight, n, out)
-    return out.reshape(slo.shape)[()]
-
-
 def arc_rectangle_integral(kind: str, slo, shi, tlo, thi, weight, n: int = _NODES):
     """iint over [slo,shi] x [tlo,thi] of w_alpha(s-t) * g, vectorized.
 
     kind selects g: ``sin_diff`` -> sin(s-t), ``sin_cos`` -> sin(s)cos(t),
     ``sin_sin`` -> sin(s)sin(t).  A 1-d batch is split into layout groups of
-    _CHUNK rows, which up to _WORKERS threads take in order, each as soon as it
-    is free; any other shape is one group, evaluated on the calling thread.
+    _CHUNK rows, any other shape is one group; _run_tasks takes their plans in
+    order, each as soon as a worker is free.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
     slo, shi, tlo, thi = np.broadcast_arrays(
         *[np.asarray(a, dtype=float) for a in (slo, shi, tlo, thi)]
     )
-    if slo.ndim != 1 or slo.size <= _CHUNK:
-        return _arc_rectangle_chunk(kind, slo, shi, tlo, thi, weight, n)
-    rect = (slo, shi, tlo, thi)
-    plans = _plan(rect, [(i, min(i + _CHUNK, slo.size)) for i in range(0, slo.size, _CHUNK)])
-    out = np.empty(slo.size)
+    rect = [a.reshape(-1) for a in (slo, shi, tlo, thi)]
+    size = slo.size
+    groups = [(i, min(i + _CHUNK, size)) for i in range(0, size, _CHUNK)] if slo.ndim == 1 else [(0, size)]
+    plans = _plan(rect, groups)
+    out = np.empty(size)
     _run_tasks(lambda j, buffers: _evaluate(kind, rect, plans[j], buffers, weight, n, out),
                len(plans), lambda: _buffers(plans, n))
-    return out
+    return out.reshape(slo.shape)[()]
 
 
 def interaction_pair_value(theta0, theta1, weight):

@@ -190,23 +190,6 @@ def besov_seminorm(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InteractionSample:
-    x: tuple[float, float]
-    h: float
-    e: tuple[float, float]
-    delta: float
-    dm: float
-
-
-def _point_in_interior(grid: Grid2, x: tuple[float, float]) -> bool:
-    lx, ly = grid.extent
-    return (
-        grid.origin[0] <= x[0] <= grid.origin[0] + lx
-        and grid.origin[1] <= x[1] <= grid.origin[1] + ly
-    )
-
-
 def symmetric_pair_interaction(beta, weight: InteractionWeight) -> FloatArray:
     """Interaction value of the symmetric pair (e^{-i beta}, e^{i beta})."""
     beta = np.asarray(beta, dtype=float)
@@ -240,20 +223,12 @@ def symmetric_interaction_closed_form(beta, weight: InteractionWeight) -> FloatA
     return np.where(beta <= np.pi / 4, low, part1 + part2)
 
 
-def coercivity_profile(weight: InteractionWeight, betas: FloatArray) -> FloatArray:
-    """Ratio of the symmetric-pair interaction to beta^{3+alpha}."""
-    betas = np.asarray(betas, dtype=float)
-    return symmetric_interaction_closed_form(betas, weight) / betas ** (3 + weight.alpha)
-
-
 @dataclass(frozen=True)
 class CoercivityReport:
     alpha: float
     min_ratio: float
     n_used: int
-    n_excluded: int
     gated_min_ratio: float  # min ratio over the samples with |Dm|^{3+alpha} >= 1e-12
-    samples: tuple[InteractionSample, ...]
     closed_form_gap: float
 
 
@@ -274,37 +249,31 @@ def coercivity_scan(
     largest distance of a Delta from the symmetric-pair closed form at the
     half-angle arcsin(|Dm|/2).
     """
-    used: list[InteractionSample] = []
-    excluded = 0
-    ratios = []
+    deltas, dms, ratios = [], [], []
     for x, h, e in samples:
         e = np.asarray(e, dtype=float)
         e = e / np.hypot(*e)
         x1 = (x[0] + h * e[0], x[1] + h * e[1])
         for pt in (x, x1):
-            if not _point_in_interior(m.grid, pt):
+            if not m.grid.contains(*pt):
                 raise ValueError(f"point {pt} outside the domain")
         th0 = float(m.theta_at(np.array(x[0]), np.array(x[1])))
         th1 = float(m.theta_at(np.array(x1[0]), np.array(x1[1])))
         dm = float(np.hypot(np.cos(th1) - np.cos(th0), np.sin(th1) - np.sin(th0)))
         if dm <= 1e-14:
-            excluded += 1
             continue
-        delta = float(interaction_pair_value(th0, th1, weight))
-        used.append(InteractionSample(x=tuple(x), h=h, e=(float(e[0]), float(e[1])), delta=delta, dm=dm))
-        ratios.append(delta / dm ** (3 + weight.alpha))
+        deltas.append(float(interaction_pair_value(th0, th1, weight)))
+        dms.append(dm)
+        ratios.append(deltas[-1] / dm ** (3 + weight.alpha))
     min_ratio = float(min(ratios)) if ratios else float("inf")
-    gated = [r for r, rec in zip(ratios, used) if rec.dm ** (3 + weight.alpha) >= 1e-12]
-    closed = symmetric_interaction_closed_form(
-        np.arcsin(np.minimum([rec.dm / 2 for rec in used], 1.0)), weight)
-    gap = float(np.max(np.abs([rec.delta for rec in used] - closed), initial=0.0))
+    gated = [r for r, dm in zip(ratios, dms) if dm ** (3 + weight.alpha) >= 1e-12]
+    closed = symmetric_interaction_closed_form(np.arcsin(np.minimum([dm / 2 for dm in dms], 1.0)), weight)
+    gap = float(np.max(np.abs(deltas - closed), initial=0.0))
     return CoercivityReport(
         alpha=weight.alpha,
         min_ratio=min_ratio,
-        n_used=len(used),
-        n_excluded=excluded,
+        n_used=len(dms),
         gated_min_ratio=float(min(gated, default=np.inf)),
-        samples=tuple(used),
         closed_form_gap=gap,
     )
 
@@ -316,10 +285,8 @@ def coercivity_scan(
 
 @dataclass(frozen=True)
 class InteractionIdentityReport:
-    h: float
     lhs: float
     rhs: float
-    residual: float
     rel_residual: float
 
 
@@ -344,12 +311,8 @@ def interaction_identity_check(
     if not np.any(sel):
         raise ValueError("cut-off supported outside the grid")
     xs, ys = X[sel], Y[sel]
-    for dx in (0.0, h):
-        if not (
-            _point_in_interior(grid, (float(xs.min()) + dx, float(ys.min())))
-            and _point_in_interior(grid, (float(xs.max()) + dx, float(ys.max())))
-        ):
-            raise ValueError("cut-off support leaves the domain after the shift")
+    if not np.all(grid.contains(xs, ys) & grid.contains(xs + h, ys)):
+        raise ValueError("cut-off support leaves the domain after the shift")
     area = grid.cell_area()
     th0 = m.theta_at(xs, ys)
 
@@ -364,8 +327,5 @@ def interaction_identity_check(
     for hv, wv in zip(ht, hw):
         a1, a2 = interaction_pair_flux(th0, m.theta_at(xs + hv, ys), weight)
         rhs -= wv * float(np.sum(gx[sel] * a1 + gy[sel] * a2) * area)
-    residual = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    return InteractionIdentityReport(
-        h=h, lhs=lhs, rhs=float(rhs), residual=residual, rel_residual=residual / scale
-    )
+    return InteractionIdentityReport(lhs=lhs, rhs=float(rhs), rel_residual=abs(lhs - rhs) / scale)

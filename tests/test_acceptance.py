@@ -58,7 +58,6 @@ from eelab.production import (
 from eelab.regularity import (
     InteractionWeight,
     besov_seminorm,
-    coercivity_profile,
     symmetric_interaction_closed_form,
     symmetric_pair_interaction,
 )
@@ -286,7 +285,7 @@ def test_criterion_11_interaction_agreement():
             symmetric_pair_interaction(betas, w) - symmetric_interaction_closed_form(betas, w)
         ).max()
         worst = max(worst, float(gap))
-        constants[alpha] = float(coercivity_profile(w, betas).min())
+        constants[alpha] = float((symmetric_interaction_closed_form(betas, w) / betas ** (3 + alpha)).min())
     ok = worst <= 1e-6 and all(c > 0 for c in constants.values())
     verdict(
         11,

@@ -467,7 +467,11 @@ def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
     every check and ``show-entropy`` (``_REACHING_RUNS``).  Exempt are the entry
     points ``cli.main`` and the EELF pair ``read_field``/``write_field``, dunder
     (protocol) methods, and the methods that perfbench/tracer.py wraps by name
-    (its ``METHODS``)."""
+    (its ``METHODS``).  Every field of a dataclass is read as an attribute in
+    ``src/``, but for the classes serialized whole (``BesovReport`` through
+    ``asdict``, and any class with a ``to_json``) and the config keys of
+    ``ExperimentConfig``, which ``schema`` reads by name.  ``__init__`` imports
+    nothing."""
     def names(tree):
         return Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
 
@@ -494,6 +498,16 @@ def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
         if (node.name not in shared and attr_refs[node.name] == attrs(node)[node.name]
                 and not aliases[node.name]):
             unused.append(f"{mod}.{cls.name}.{node.name}")
+    reads = Counter(n.attr for t in trees.values() for n in ast.walk(t)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    whole = {"BesovReport", "ExperimentConfig"}
+    unused += [f"{mod}.{cls.name}.{node.target.id}" for mod, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name not in whole
+               and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+               and not any(isinstance(n, ast.FunctionDef) and n.name == "to_json" for n in cls.body)
+               for node in cls.body if isinstance(node, ast.AnnAssign) and not reads[node.target.id]]
+    init = ast.parse((ROOT / "src" / "eelab" / "__init__.py").read_text(encoding="utf-8"))
+    unused += [ast.unparse(n) for n in ast.walk(init) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert unused == []
     by_class = {(mod, cls.name, node.name) for mod, cls, node in methods if node.name in shared}
     reached = _methods_reached(monkeypatch, tmp_path, by_class)

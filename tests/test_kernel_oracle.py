@@ -24,7 +24,6 @@ import pytest
 from eelab import quadrature
 from eelab.quadrature import (
     QUARTER,
-    _arc_rectangle_chunk,
     _live_nodes,
     _segment_nodes,
     _split_segments,
@@ -203,13 +202,14 @@ def test_arc_rectangle_integral_matches_oracle_bitwise(kind, alpha):
 def test_arc_rectangle_chunk_matches_oracle_bitwise(kind, alpha):
     weight = InteractionWeight(alpha)
     oracle = OracleWeight(weight)
-    for seed, shape in enumerate(SHAPES):
+    # (300,) is three layout groups and (3, 129) one group of four plans
+    for seed, shape in enumerate(SHAPES + ((3, 129),)):
         th0, th1 = theta_pairs(shape, 100 + seed)
         # unequal arcs, so the extra breakpoints differ from the rectangle corners
         rect = (th0 - 1.0, th0 + 0.5, th1 - 0.25, th1 + 2.0)
         assert_bits(
-            _arc_rectangle_chunk(kind, *rect, weight, 24),
-            oracle_arc_rectangle_chunk(kind, *rect, oracle, 24),
+            arc_rectangle_integral(kind, *rect, weight, 24),
+            oracle_arc_rectangle_integral(kind, *rect, oracle, 24),
         )
 
 
@@ -378,7 +378,7 @@ def test_whole_cell_table_matches_nodes_built_in_place_bitwise(alpha):
                     assert_bits(W[sel], W0)
                     assert_bits(T[sel], trig(U0, out=U0))
     assert_bits(
-        _arc_rectangle_chunk("sin_diff", *rect, weight, 24),
+        arc_rectangle_integral("sin_diff", *rect, weight, 24),
         oracle_arc_rectangle_chunk("sin_diff", *rect, OracleWeight(weight), 24),
     )
 
@@ -419,12 +419,12 @@ def test_whole_cells_are_evaluated_once_per_group(monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_worker_count_changes_no_bit(kind, alpha, monkeypatch):
     """One, the default and three workers give the same bits (``tobytes``, so
-    also ``repr``), for batches of one group, of a group and one row, and of
-    several groups; the value and flux rectangles of ``sin_diff`` and
-    ``sin_cos`` include diagonal squares."""
+    also ``repr``), for batches of one group, of a group and one row, of
+    several groups, and of one 2-d group of four plans; the value and flux
+    rectangles of ``sin_diff`` and ``sin_cos`` include diagonal squares."""
     weight = InteractionWeight(alpha)
-    for seed, rows in enumerate((1, 128, 129, 300, 1000)):
-        for rect in rectangles(kind, *theta_pairs((rows,), 40 + seed)):
+    for seed, shape in enumerate(((1,), (128,), (129,), (300,), (1000,), (3, 129))):
+        for rect in rectangles(kind, *theta_pairs(shape, 40 + seed)):
             default = arc_rectangle_integral(kind, *rect, weight)
             for workers in (1, 3):
                 monkeypatch.setattr(quadrature, "_WORKERS", workers)
@@ -451,8 +451,9 @@ def test_workers_under_frequent_thread_switches(monkeypatch):
 
 
 def test_small_batches_start_no_worker(monkeypatch):
-    """A 1-d batch of at most _CHUNK rows, and any other shape, stays on the
-    calling thread; a 1-d batch of _CHUNK + 1 rows goes to the pool."""
+    """A batch of at most _CHUNK rows, one plan, stays on the calling thread; a
+    1-d batch of _CHUNK + 1 rows and a (3, 129) batch, one group of four plans,
+    go to the pool."""
     pools = []
 
     class Spy(quadrature.ThreadPoolExecutor):
@@ -463,13 +464,14 @@ def test_small_batches_start_no_worker(monkeypatch):
     monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Spy)
     monkeypatch.setattr(quadrature, "_WORKERS", 2)
     weight = InteractionWeight(0.5)
-    for shape in ((), (1,), (128,), (7, 5), (3, 129)):
+    for shape in ((), (1,), (128,), (7, 5)):
         for kind in KINDS:
             arc_rectangle_integral(kind, *next(rectangles(kind, *theta_pairs(shape, 2))), weight)
     interaction_pair_value(*theta_pairs((128,), 3), weight)
     assert pools == []
     arc_rectangle_integral("sin_diff", *next(rectangles("sin_diff", *theta_pairs((129,), 4))), weight)
-    assert pools == [2]
+    arc_rectangle_integral("sin_diff", *next(rectangles("sin_diff", *theta_pairs((3, 129), 2))), weight)
+    assert pools == [2, 2]
 
 
 def test_worker_buffers_bound_the_memory_peak(monkeypatch):

@@ -212,11 +212,11 @@ def jk1_productions(levels):
     return [div_entropy(lv.v, jin_kohn(1)) for lv in levels]
 
 
-def levels_and_averages(m, scales=(0.25, 0.125)):
-    """The levels of ``m`` at ``scales``, their first Jin-Kohn productions and
+def productions_and_averages(m, scales=(0.25, 0.125)):
+    """The first Jin-Kohn productions of the levels of ``m`` at ``scales`` and
     their cubic averages."""
     levels = [mollified_level(m, eps) for eps in scales]
-    return levels, jk1_productions(levels), [cubic_difference_average(m, eps) for eps in scales]
+    return jk1_productions(levels), [cubic_difference_average(m, eps) for eps in scales]
 
 
 def pointwise_bound_holds(rep, bound=10.0):
@@ -227,11 +227,11 @@ def pointwise_bound_holds(rep, bound=10.0):
 def test_pointwise_bound_vortex_and_constant():
     g = centered_grid(128, 2.0)
     m = build_field(VortexSpec(), g)
-    rep = pointwise_bound_check(*levels_and_averages(m), jin_kohn_circle(1), annulus(g, 0.45, 0.7))
+    rep = pointwise_bound_check(*productions_and_averages(m), jin_kohn_circle(1), annulus(g, 0.45, 0.7))
     assert pointwise_bound_holds(rep)
     mc = build_field(ConstantSpec(0.2), g)
     repc = pointwise_bound_check(
-        *levels_and_averages(mc), jin_kohn_circle(1), g.rect_mask(-0.5, 0.5, -0.5, 0.5),
+        *productions_and_averages(mc), jin_kohn_circle(1), g.rect_mask(-0.5, 0.5, -0.5, 0.5),
     )
     assert pointwise_bound_holds(repc)  # 0/0 guarded by the floor (rounding over floor stays O(1))
 
@@ -243,7 +243,7 @@ def test_pointwise_bound_requires_entropy():
     m = build_field(ConstantSpec(0.2), g)
     bad = EntropyMap(CircleFunction.cosine(1), CircleFunction.zero())
     with pytest.raises(ValueError, match="entropy"):
-        pointwise_bound_check(*levels_and_averages(m, (0.25,)), bad, g.rect_mask(-0.5, 0.5, -0.5, 0.5))
+        pointwise_bound_check(*productions_and_averages(m, (0.25,)), bad, g.rect_mask(-0.5, 0.5, -0.5, 0.5))
 
 
 def test_jump_sigma_bound_pointwise():
@@ -356,7 +356,7 @@ def test_pointwise_bound_jump_ladder():
     g = centered_grid(192, 2.0)
     m = build_field(JumpSpec(), g)
     rep = pointwise_bound_check(
-        *levels_and_averages(m), jin_kohn_circle(1), g.rect_mask(-0.5, 0.5, -0.5, 0.5),
+        *productions_and_averages(m), jin_kohn_circle(1), g.rect_mask(-0.5, 0.5, -0.5, 0.5),
     )
     # both sides scale like 1/eps on the strip: the ratio is ladder-stable
     assert pointwise_bound_holds(rep)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,11 +24,8 @@ from eelab import regularity
 from eelab.quadrature import interaction_pair_value
 from eelab.regularity import (
     CoercivityReport,
-    InteractionSample,
     InteractionWeight,
-    _point_in_interior,
     besov_seminorm,
-    coercivity_profile,
     coercivity_scan,
     interaction_identity_check,
     symmetric_interaction_closed_form,
@@ -161,13 +159,18 @@ def test_swap_symmetry():
 def test_coercivity_profile_positive():
     for alpha in (0.25, 0.5, 1.0):
         w = InteractionWeight(alpha)
-        prof = coercivity_profile(w, np.linspace(0.01, np.pi / 2, 300))
+        betas = np.linspace(0.01, np.pi / 2, 300)
+        prof = symmetric_interaction_closed_form(betas, w) / betas ** (3 + alpha)
         assert prof.min() > 0.5  # reported constant, depends on the blend
 
 
 # ---------------------------------------------------------------------------
 # field-level interaction ops
 # ---------------------------------------------------------------------------
+
+
+#: the interaction functional Delta and |Dm| of one sample (x, h, e)
+InteractionSample = namedtuple("InteractionSample", "delta dm")
 
 
 def interaction_functional(m, x, h, e, weight: InteractionWeight) -> InteractionSample:
@@ -181,24 +184,22 @@ def interaction_functional(m, x, h, e, weight: InteractionWeight) -> Interaction
     e = e / np.hypot(*e)
     x1 = (x[0] + h * e[0], x[1] + h * e[1])
     for pt in (x, x1):
-        if not _point_in_interior(m.grid, pt):
+        if not m.grid.contains(*pt):
             raise ValueError(f"point {pt} outside the domain")
     th0 = float(m.theta_at(np.array(x[0]), np.array(x[1])))
     th1 = float(m.theta_at(np.array(x1[0]), np.array(x1[1])))
     delta = float(interaction_pair_value(th0, th1, weight))
     dm = float(np.hypot(np.cos(th1) - np.cos(th0), np.sin(th1) - np.sin(th0)))
-    return InteractionSample(x=tuple(x), h=h, e=(float(e[0]), float(e[1])), delta=delta, dm=dm)
+    return InteractionSample(delta=delta, dm=dm)
 
 
 def coercivity_scan_oracle(m, samples, weight: InteractionWeight) -> CoercivityReport:
     """The scan as it was when every sample was integrated, floor applied after."""
     used: list[InteractionSample] = []
-    excluded = 0
     ratios = []
     for x, h, e in samples:
         rec = interaction_functional(m, x, h, e, weight)
         if rec.dm <= 1e-14:
-            excluded += 1
             continue
         used.append(rec)
         ratios.append(rec.delta / rec.dm ** (3 + weight.alpha))
@@ -211,9 +212,7 @@ def coercivity_scan_oracle(m, samples, weight: InteractionWeight) -> CoercivityR
         alpha=weight.alpha,
         min_ratio=min_ratio,
         n_used=len(used),
-        n_excluded=excluded,
         gated_min_ratio=float(min(gated, default=np.inf)),
-        samples=tuple(used),
         closed_form_gap=gap,
     )
 
@@ -238,8 +237,8 @@ def test_coercivity_scan_matches_integrate_every_sample_oracle_bitwise(kind):
     m, samples, w = _scan_case(kind)
     rep = coercivity_scan(m, samples, w)
     ref = coercivity_scan_oracle(m, samples, w)
-    assert {"constant": rep.n_used == 0, "jump": rep.n_used * rep.n_excluded > 0,
-            "smooth": rep.n_excluded == 0}[kind]
+    assert {"constant": rep.n_used == 0, "jump": 0 < rep.n_used < len(samples),
+            "smooth": rep.n_used == len(samples)}[kind]
     for f in dataclasses.fields(CoercivityReport):
         assert repr(getattr(rep, f.name)) == repr(getattr(ref, f.name)), f.name
 
@@ -255,7 +254,7 @@ def test_coercivity_scan_integrates_only_the_samples_it_uses(monkeypatch, kind):
     monkeypatch.setattr(regularity, "interaction_pair_value", spy)
     m, samples, w = _scan_case(kind)
     rep = coercivity_scan(m, samples, w)
-    assert len(calls) == rep.n_used == len(samples) - rep.n_excluded
+    assert len(calls) == rep.n_used
 
 
 def test_coercivity_scan_checks_the_domain_of_excluded_samples():
@@ -296,8 +295,7 @@ def test_coercivity_scan_jump_and_floor():
         samples.append(((0.0, -h / 2), h, (0.0, 1.0)))   # crosses the jump
         samples.append(((0.3, 0.3), h, (1.0, 0.0)))      # constant side: excluded
     rep = coercivity_scan(m, samples, w)
-    assert rep.n_excluded == 3
-    assert rep.n_used == 3
+    assert (rep.n_used, len(samples) - rep.n_used) == (3, 3)    # used, excluded
     assert rep.gated_min_ratio >= 0.05 and rep.closed_form_gap <= 1e-10
     # reduction to the symmetric pair: ratio matches the closed form exactly
     beta = np.pi / 4
@@ -313,7 +311,7 @@ def test_chord_coercivity_minimum_at_right_angle(alpha):
     betas = np.linspace(0.01, np.pi / 2, 64)
     chord = symmetric_interaction_closed_form(betas, w) / (2 * np.sin(betas)) ** (3 + alpha)
     assert int(np.argmin(chord)) == len(betas) - 1
-    assert chord.min() < coercivity_profile(w, betas).min()
+    assert chord.min() < (symmetric_interaction_closed_form(betas, w) / betas ** (3 + alpha)).min()
 
 
 def test_coercivity_scan_smooth_field():
