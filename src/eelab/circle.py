@@ -121,6 +121,8 @@ class CircleFunction:
 
     @staticmethod
     def sine(k: int, amplitude: float = 1.0) -> "CircleFunction":
+        if k == 0:
+            return CircleFunction.zero()
         return CircleFunction.from_modes({k: amplitude / 2j, -k: -amplitude / 2j})
 
     @staticmethod

@@ -49,6 +49,7 @@ from .entropy import (
 )
 from .factorization import (
     factor_coefficient,
+    generated_productions,
     pairing_consistency_gap,
     vanishing_production_check,
     verify_factorization,
@@ -77,6 +78,7 @@ from .production import (
     Level,
     cubic_average_besov_bound,
     cubic_difference_average,
+    decay_rate,
     div_entropy,
     factorized_measure,
     jump_production_mass,
@@ -249,12 +251,17 @@ def _region(cfg: ExperimentConfig, grid: Grid2, margin: float = 0.0):
     """Subdomain for norms: annulus for vortex-like fields, box else, and only its
     cells at distance >= margin from the boundary."""
     if cfg.field.kind == "vortex":
-        r = np.hypot(*grid.meshgrid())
-        region = (r > 0.45 * cfg.extent / 2) & (r < 0.7 * cfg.extent / 2)
+        region = _annulus(cfg, grid)
     else:
         half = 0.3 * cfg.extent
         region = grid.rect_mask(-half, half, -half, half)
     return region & grid.interior_mask(margin)
+
+
+def _annulus(cfg: ExperimentConfig, grid: Grid2, pad: float = 0.0):
+    """The vortex annulus 0.45 < r / (extent/2) < 0.7, widened by ``pad`` on both sides."""
+    r = np.hypot(*grid.meshgrid())
+    return (r > 0.45 * cfg.extent / 2 - pad) & (r < 0.7 * cfg.extent / 2 + pad)
 
 
 #: multiples of the finest scale at which check_produce also mollifies the finest field
@@ -298,18 +305,18 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
         gates.append(("trivial_production", worst, "<=", cfg.tol("trivial_production")))
     elif kind == "vortex":
         grid = m.grid
-        rep = production_ladder(scales, prods, cfg.p, _region(cfg, grid), label="jin-kohn-1")
-        details["ladder"] = rep.to_json()
-        details["decay_rate"] = rep.decay_rate()
-        rows += [[f"{rep.label}", e, v] for e, v in zip(rep.eps_ladder, rep.lp_norms)]
+        eps_ladder = [lv.eps for lv in scales]
+        norms = production_ladder(prods, cfg.p, _region(cfg, grid))
+        details["ladder"] = {"eps": eps_ladder, "lp": norms, "p": cfg.p, "label": "jin-kohn-1"}
+        details["decay_rate"] = decay_rate(eps_ladder, norms)
+        rows += [["jin-kohn-1", e, v] for e, v in zip(eps_ladder, norms)]
         pms = [cubic_difference_average(lv.m, lv.eps) for lv in scales[1:]]
         bound = pointwise_bound_check(prods[1:], pms, jin_kohn_circle(1), _region(cfg, grid))
         details["pointwise_sup_ratios"] = list(bound.sup_ratios)
-        r = np.hypot(*grid.meshgrid())
         inner = _region(cfg, grid, eps + grid.spacing)
-        outer = (r > 0.45 * cfg.extent / 2 - eps) & (r < 0.7 * cfg.extent / 2 + eps)
+        outer = _annulus(cfg, grid, eps)
         hs = [grid.spacing * c for c in cfg.h_ladder_cells]
-        [bnd] = cubic_average_besov_bound(m, eps, [cfg.p], inner, outer, hs, pm=pms[-1])
+        [bnd] = cubic_average_besov_bound(m, [cfg.p], inner, outer, hs, pm=pms[-1])
         details["bounded_sequence_ratio"] = bnd.ratio
         gates += [("pointwise_bound", max(bound.sup_ratios), "<=", cfg.tol("pointwise_bound")),
                   ("dead_cell_fraction", max(bound.dead_cell_fractions), "<=", 1e-4),
@@ -323,10 +330,10 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
         grid = m.grid
         half = 0.3 * cfg.extent
         strip = grid.rect_mask(-half, half, spec.point[1] - half, spec.point[1] + half)
-        repm = jump_production_mass(scales, prods, expected, strip)
+        repm = jump_production_mass(prods, expected, strip)
         details["jump_mass"] = {"expected": expected, "masses": list(repm.masses),
                                 "rel_errors": list(repm.rel_errors)}
-        rows += [["jump-mass", e, v] for e, v in zip(repm.eps_ladder, repm.masses)]
+        rows += [["jump-mass", lv.eps, v] for lv, v in zip(scales, repm.masses)]
         # cubic average on the jump line; expected value from the cap area at the
         # distance of the nearest cell row
         eps_b = _JUMP_CUBIC_CELLS * grid.spacing
@@ -346,7 +353,7 @@ def check_produce(cfg: ExperimentConfig, ladder: list[Level],
                                spec.point[1] + box + eps_b)
         hs = [grid.spacing * c for c in cfg.h_ladder_cells]
         ratios = [b.ratio for b in cubic_average_besov_bound(
-            m, eps_b, (1.0, 7.0 / 6.0, 4.0 / 3.0), inner, outer, hs, pm=pm)]
+            m, (1.0, 7.0 / 6.0, 4.0 / 3.0), inner, outer, hs, pm=pm)]
         details["bounded_sequence_ratios"] = ratios
         gates += [("jump_mass_rel", repm.rel_errors[-1], "<=", cfg.tol("jump_mass_rel")),
                   ("line_ratio_lo", ratio, ">=", cfg.tol("line_ratio_lo")),
@@ -393,9 +400,9 @@ def check_kinetic(cfg: ExperimentConfig, ladder: list[Level],
     sigma = JumpLineMeasure(cfg.field) if cfg.field.kind == "jump" else None
     zetas = _kinetic_test_functions(cfg)
     for li, lv in enumerate(ladder):  # one set of test functions, paired with every level
-        rep = kinetic_residual(lv.m, sigma, zetas)
-        worst_by_level.append(rep.worst())
-        rows += [[li, lv.m.grid.nx, lab, r] for lab, r in zip(rep.labels, rep.residuals)]
+        residuals = kinetic_residual(lv.m, sigma, zetas)
+        worst_by_level.append(max(abs(r) for r in residuals))
+        rows += [[li, lv.m.grid.nx, z.label, r] for z, r in zip(zetas, residuals)]
     details["worst_by_level"] = worst_by_level
     gates = [("kinetic_tol_coarse", worst_by_level[-1], "<=", cfg.tol("kinetic_tol_coarse"))]
     if len(worst_by_level) >= 2 and worst_by_level[0] > 1e-14:
@@ -479,23 +486,25 @@ def check_factorize(cfg: ExperimentConfig, ladder: list[Level],
         return _region(cfg, grid, _factorize_margin(cfg, grid))
 
     fs = _entropy_suite(cfg, rng)
+    eps_ladder = [lv.eps for lv in ladder]
     details: dict = {}
     rows = []
-    rep = vanishing_production_check(ladder, fs, region_of)
+    prods = generated_productions(ladder, [f for _, f in fs])
+    rep = vanishing_production_check(ladder, prods, region_of)
     details["rates"] = list(rep.rates)
     details["negative_control"] = not all(r >= cfg.tol("decay_rate") for r in rep.rates)
-    for lbl, row in zip(rep.labels, rep.masses):
-        rows += [[lbl, e, v] for e, v in zip(rep.eps_ladder, row)]
+    for (lbl, _), row in zip(fs, rep.masses):
+        rows += [[lbl, e, v] for e, v in zip(eps_ladder, row)]
     if cfg.field.kind == "jump":
         gates = [("negative_control", details["negative_control"], "==", True)]
         details["expected"] = "persistent production mass (negative control)"
     else:
         gates = [("decay_rate", r, ">=", cfg.tol("decay_rate")) for r in rep.rates]
-        frep = verify_factorization(ladder, fs[-1][1], cfg.p, region_of,
-                                    rep.productions[-1])
-        details["factorization"] = frep.to_json()
-        rows += [["residual", e, v] for e, v in zip(frep.eps_ladder, frep.residual_norms)]
+        frep = verify_factorization(ladder, fs[-1][1], cfg.p, region_of, prods[-1])
         res = frep.residual_norms
+        details["factorization"] = dict(eps=eps_ladder, lhs=list(frep.lhs_norms), rhs=list(frep.rhs_norms),
+                                        residual=list(res), p=cfg.p, label="factorization")
+        rows += [["residual", e, v] for e, v in zip(eps_ladder, res)]
         if res[0] > 1e-13:
             gates.append(("factorization_residual", res[-1], "<=", 0.5 * res[0]))
     art = {"factorization.csv": csv_text(["label", "eps", "value"], rows).encode()}
@@ -617,16 +626,16 @@ def _load_config(path: str, args: argparse.Namespace | None) -> ExperimentConfig
 
 
 def _parse_entropy_arg(text: str) -> CircleFunction:
-    parts = text.split(":")
-    if parts[0] == "cos":
-        return CircleFunction.cosine(int(parts[1]))
-    if parts[0] == "sin":
-        return CircleFunction.sine(int(parts[1]))
-    if parts[0] == "random":
-        band = int(parts[1])
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return CircleFunction.random_real(band, np.random.default_rng(seed))
-    raise ValueError(f"cannot parse entropy spec {text!r}; use cos:K, sin:K or random:BAND[:SEED]")
+    """The generator ``--f`` names: cos:K, sin:K (K >= 1) or random:BAND[:SEED], with K, BAND
+    and SEED non-negative integers; anything else is an argument error that names ``text``."""
+    kind, *nums = text.split(":")
+    ints, arity = [int(x) for x in nums if x.isdecimal()], {"cos": 1, "sin": 1, "random": 2}.get(kind, 0)
+    if not 1 <= len(ints) == len(nums) <= arity or kind == "sin" and ints[0] == 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not cos:K, sin:K (K >= 1) or random:BAND[:SEED] with K, BAND, SEED >= 0")
+    if kind == "random":
+        return CircleFunction.random_real(ints[0], np.random.default_rng(ints[1] if len(ints) > 1 else 0))
+    return (CircleFunction.cosine if kind == "cos" else CircleFunction.sine)(ints[0])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -646,15 +655,15 @@ def main(argv: list[str] | None = None) -> int:
     dump_p.add_argument("--out", default="field.eelf")
 
     show_p = sub.add_parser("show-entropy", help="print coefficients and membership residual")
-    show_p.add_argument("--f", required=True, help="cos:K | sin:K | random:BAND[:SEED]")
+    show_p.add_argument("--f", required=True, type=_parse_entropy_arg,
+                        help="cos:K | sin:K | random:BAND[:SEED]")
 
     args = ap.parse_args(argv)
     if args.cmd == "show-entropy":
-        f = _parse_entropy_arg(args.f)
-        em = generated_entropy(f)
+        em = generated_entropy(args.f)
         res = ent_residual(em).sup_norm()
         print(json_dumps({
-            "generator": f.to_json(),
+            "generator": args.f.to_json(),
             "entropy": em.to_json(),
             "membership_residual": res,
         }), end="")

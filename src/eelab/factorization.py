@@ -25,7 +25,7 @@ from .circle import CircleFunction
 from .entropy import generated_entropy, radial_values
 from .grids import BoolArray, ScalarField, VecField, combine_masks, divergence, lp_norm
 from .kinetic import KineticMeasure, atom_mean, pair_cells
-from .production import Level, factorized_measure
+from .production import Level, decay_rate, factorized_measure
 
 FloatArray = NDArray[np.float64]
 
@@ -37,22 +37,9 @@ def factor_coefficient(f: CircleFunction, theta) -> FloatArray:
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    eps_ladder: tuple[float, ...]
     lhs_norms: tuple[float, ...]
     rhs_norms: tuple[float, ...]
     residual_norms: tuple[float, ...]
-    p: float
-    label: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "eps": list(self.eps_ladder),
-            "lhs": list(self.lhs_norms),
-            "rhs": list(self.rhs_norms),
-            "residual": list(self.residual_norms),
-            "p": self.p,
-            "label": self.label,
-        }
 
 
 def _reject_dead_zone(lv: Level, region: BoolArray) -> None:
@@ -104,27 +91,21 @@ def verify_factorization(
         rhs_norms.append(lp_norm(rhs, grid, p, where))
         res_norms.append(lp_norm(lhs.values - rhs, grid, p, where))
     return FactorizationReport(
-        eps_ladder=tuple(lv.eps for lv in ladder),
         lhs_norms=tuple(lhs_norms),
         rhs_norms=tuple(rhs_norms),
         residual_norms=tuple(res_norms),
-        p=p,
-        label="factorization",
     )
 
 
 @dataclass(frozen=True)
 class VanishingProductionReport:
-    labels: tuple[str, ...]
-    eps_ladder: tuple[float, ...]
-    masses: tuple[tuple[float, ...], ...]   # per label, per eps: L^1 production mass
+    masses: tuple[tuple[float, ...], ...]   # per entropy, per level: L^1 production mass
     rates: tuple[float, ...]
-    productions: tuple[tuple[ScalarField, ...], ...]  # per label, per eps: div Phi_f(m_eps)
 
 
 def vanishing_production_check(
     ladder: list[Level],
-    fs: list[tuple[str, CircleFunction]],
+    productions: list[list[ScalarField]],
     region_of,
 ) -> VanishingProductionReport:
     """Ladder decay of all generated-entropy productions and of the measure mass.
@@ -134,13 +115,11 @@ def vanishing_production_check(
     measure's total variation (inf for masses already at rounding level).
     For fields whose Jin-Kohn productions vanish in the limit every rate is
     large; fields with persistent production mass, the expected negative
-    control, have a small one.  The report keeps the productions, so that
-    ``verify_factorization`` can reuse them.
+    control, have a small one.  ``productions`` holds the generated-entropy
+    productions ``generated_productions(ladder, fs)``, per f and per level.
     """
-    productions = generated_productions(ladder, [f for _, f in fs])
-    eps_ladder = [lv.eps for lv in ladder]
     nu_masses = []
-    rows: list[list[float]] = [[] for _ in fs]
+    rows: list[list[float]] = [[] for _ in productions]
     for k, lv in enumerate(ladder):
         grid = lv.m.grid
         region = region_of(grid)
@@ -150,22 +129,10 @@ def vanishing_production_check(
             d = prods[k]
             where_d = combine_masks(d.effective_mask(), region)
             row.append(lp_norm(np.abs(d.values), grid, 1, where_d))
-    le = np.log(eps_ladder)
-    rates = []
-    for row in rows + [nu_masses]:
-        vals = np.asarray(row)
-        if np.max(vals) <= 1e-12:  # already vanished up to rounding
-            rates.append(float("inf"))
-        elif np.all(vals > 0):
-            rates.append(float(np.polyfit(le, np.log(vals), 1)[0]))
-        else:
-            rates.append(float("inf"))
+    eps_ladder = [lv.eps for lv in ladder]
     return VanishingProductionReport(
-        labels=tuple(lbl for lbl, _ in fs),
-        eps_ladder=tuple(eps_ladder),
         masses=tuple(tuple(row) for row in rows),
-        rates=tuple(rates),
-        productions=tuple(tuple(prods) for prods in productions),
+        rates=tuple(decay_rate(eps_ladder, row) for row in rows + [nu_masses]),
     )
 
 

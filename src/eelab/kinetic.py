@@ -212,26 +212,20 @@ class SpaceTimeTestFunction:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class KineticResidualReport:
-    residuals: tuple[float, ...]
-    labels: tuple[str, ...]
-
-    def worst(self) -> float:
-        return max(abs(r) for r in self.residuals)
-
-
 def edge_test_functions(grid: Grid2, zetas: list[SpaceTimeTestFunction]) -> list[str]:
-    """Labels of the test functions whose support leaves the grid's domain (its edge cuts them)."""
-    return [z.label for z in zetas if not all(o <= c - r and c + r <= o + e for c, r, o, e in
-                                              zip(z.bump.center, z.bump.reach(), grid.origin, grid.extent))]
+    """Labels of the test functions whose support leaves the grid's domain (its edge cuts them):
+    those with a corner of the support's bounding box outside ``grid.contains``."""
+    def corners(z):
+        (cx, cy), (rx, ry) = z.bump.center, z.bump.reach()
+        return (cx - rx, cy - ry), (cx + rx, cy + ry)
+    return [z.label for z in zetas if not all(grid.contains(*c) for c in corners(z))]
 
 
 def kinetic_residual(
     m: AngleField,
     sigma: KineticMeasure | JumpLineMeasure | None,
     zetas: list[SpaceTimeTestFunction],
-) -> KineticResidualReport:
+) -> list[float]:
     """Weak kinetic identity residuals, one per test function.
 
     The transport term is exact in s (spectral arc integrals) and midpoint in
@@ -248,7 +242,6 @@ def kinetic_residual(
     pairs = [_cos_sin_times(z.q) for z in zetas]
     pairings = chi_pairing([c for c, _ in pairs] + [s for _, s in pairs], m.theta)
     out = []
-    labels = []
     for zeta, chi_c, chi_s in zip(zetas, pairings[: len(zetas)], pairings[len(zetas):]):
         gx, gy = zeta.bump.gradient(X, Y)
         transport = float(np.sum(gx * chi_c + gy * chi_s) * area)
@@ -260,8 +253,7 @@ def kinetic_residual(
             zfield = ScalarField(grid, zeta.bump(X, Y))
             measure_term = pair_measure(sigma, zeta.q.derivative(), zfield)
         out.append(transport - measure_term)
-        labels.append(zeta.label or f"zeta{len(out)}")
-    return KineticResidualReport(residuals=tuple(out), labels=tuple(labels))
+    return out
 
 
 def test_function_suite(

@@ -218,49 +218,22 @@ def factorized_measure(lv: Level) -> KineticMeasure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductionReport:
-    eps_ladder: tuple[float, ...]
-    lp_norms: tuple[float, ...]
-    p: float
-    label: str = ""
-
-    def decay_rate(self) -> float:
-        """Log-log slope of the norms against eps (positive = decays with eps)."""
-        eps = np.asarray(self.eps_ladder)
-        vals = np.asarray(self.lp_norms)
-        good = vals > 0
-        if good.sum() < 2:
-            return float("inf")
-        return float(np.polyfit(np.log(eps[good]), np.log(vals[good]), 1)[0])
-
-    def to_json(self) -> dict:
-        return {
-            "eps": list(self.eps_ladder),
-            "lp": list(self.lp_norms),
-            "p": self.p,
-            "label": self.label,
-        }
-
-
-def production_ladder(
-    levels: list[Level],
-    productions: list[ScalarField],
-    p: float,
-    region: BoolArray,
-    label: str = "",
-) -> ProductionReport:
+def production_ladder(productions: list[ScalarField], p: float, region: BoolArray) -> list[float]:
     """L^p norms over a subdomain of the productions div Phi(m_eps), one per level."""
     norms = []
-    for lv, d in zip(levels, productions, strict=True):
+    for d in productions:
         where = combine_masks(d.effective_mask(), region)
-        norms.append(lp_norm(d.values, lv.m.grid, p, where))
-    return ProductionReport(
-        eps_ladder=tuple(lv.eps for lv in levels),
-        lp_norms=tuple(norms),
-        p=p,
-        label=label,
-    )
+        norms.append(lp_norm(d.values, d.grid, p, where))
+    return norms
+
+
+def decay_rate(eps: Sequence[float], norms: Sequence[float]) -> float:
+    """Log-log slope of ``norms`` against ``eps`` (positive = decays with eps); inf
+    when the norms already vanish up to rounding (max <= 1e-12) or hold a zero."""
+    vals = np.asarray(norms)
+    if np.max(vals) <= 1e-12 or not np.all(vals > 0):
+        return float("inf")
+    return float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -320,13 +293,11 @@ def pointwise_bound_check(
 
 @dataclass(frozen=True)
 class JumpMassReport:
-    eps_ladder: tuple[float, ...]
     masses: tuple[float, ...]
     rel_errors: tuple[float, ...]
 
 
 def jump_production_mass(
-    levels: list[Level],
     productions: list[ScalarField],
     expected: float,
     length_mask: BoolArray,
@@ -347,17 +318,11 @@ def jump_production_mass(
         mass = float(np.sum(d.values[where]) * grid.cell_area())
         masses.append(mass / length)
     rel = tuple(abs(ms - expected) / abs(expected) for ms in masses)
-    return JumpMassReport(
-        eps_ladder=tuple(lv.eps for lv in levels),
-        masses=tuple(masses),
-        rel_errors=rel,
-    )
+    return JumpMassReport(masses=tuple(masses), rel_errors=rel)
 
 
 @dataclass(frozen=True)
 class BoundedSequenceReport:
-    p: float
-    eps: float
     lhs: float
     rhs: float
     ratio: float
@@ -365,7 +330,6 @@ class BoundedSequenceReport:
 
 def cubic_average_besov_bound(
     m: AngleField,
-    eps: float,
     ps: Sequence[float],
     inner: BoolArray,
     outer: BoolArray,
@@ -385,6 +349,5 @@ def cubic_average_besov_bound(
     for p, rep in zip(ps, reps):
         lhs = lp_norm(pm.values, m.grid, p, where)
         rhs = rep.seminorm**3
-        out.append(BoundedSequenceReport(p=p, eps=eps, lhs=lhs, rhs=rhs,
-                                         ratio=lhs / rhs if rhs > 0 else float("inf")))
+        out.append(BoundedSequenceReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs if rhs > 0 else float("inf")))
     return out

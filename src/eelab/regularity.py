@@ -225,7 +225,6 @@ def symmetric_interaction_closed_form(beta, weight: InteractionWeight) -> FloatA
 
 @dataclass(frozen=True)
 class CoercivityReport:
-    alpha: float
     min_ratio: float
     n_used: int
     gated_min_ratio: float  # min ratio over the samples with |Dm|^{3+alpha} >= 1e-12
@@ -270,7 +269,6 @@ def coercivity_scan(
     closed = symmetric_interaction_closed_form(np.arcsin(np.minimum([dm / 2 for dm in dms], 1.0)), weight)
     gap = float(np.max(np.abs(deltas - closed), initial=0.0))
     return CoercivityReport(
-        alpha=weight.alpha,
         min_ratio=min_ratio,
         n_used=len(dms),
         gated_min_ratio=float(min(gated, default=np.inf)),
@@ -287,7 +285,11 @@ def coercivity_scan(
 class InteractionIdentityReport:
     lhs: float
     rhs: float
-    rel_residual: float
+
+    @property
+    def rel_residual(self) -> float:
+        """|lhs - rhs| relative to the larger of |lhs|, |rhs| (and 1e-300)."""
+        return abs(self.lhs - self.rhs) / max(abs(self.lhs), abs(self.rhs), 1e-300)
 
 
 def interaction_identity_check(
@@ -327,5 +329,4 @@ def interaction_identity_check(
     for hv, wv in zip(ht, hw):
         a1, a2 = interaction_pair_flux(th0, m.theta_at(xs + hv, ys), weight)
         rhs -= wv * float(np.sum(gx[sel] * a1 + gy[sel] * a2) * area)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return InteractionIdentityReport(lhs=lhs, rhs=float(rhs), rel_residual=abs(lhs - rhs) / scale)
+    return InteractionIdentityReport(lhs=lhs, rhs=float(rhs))

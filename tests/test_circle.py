@@ -78,6 +78,13 @@ def test_cos_sin_coefficients():
     assert f.cos_coeff(5) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_sine_matches_direct_values(k):
+    # sin(0 t) is zero, though the modes +k and -k of the sine meet at k = 0
+    t = np.linspace(0, 2 * np.pi, 64)
+    assert np.max(np.abs(CircleFunction.sine(k, 1.5)(t) - 1.5 * np.sin(k * t))) < 1e-13
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=-6, max_value=6), st.floats(-3, 3), st.floats(-3, 3))
 def test_mode_shift_composition(k, a, b):

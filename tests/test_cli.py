@@ -94,6 +94,17 @@ def test_show_entropy_subcommand(capsys):
     assert out["entropy"]["kind"] == "entropy-map"
 
 
+@pytest.mark.parametrize("text", ["cos:x", "cos:", "foo", "random:-1", "sin:0", "random:2:-1", "cos:2:3"])
+def test_show_entropy_rejects_a_malformed_generator(capsys, text):
+    # an argument error (exit 2) whose message names the value, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["show-entropy", "--f", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if repr(text) in line] == [err.splitlines()[-1]]
+    assert "Traceback" not in err
+
+
 def test_dump_field_subcommand(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(BASE))
@@ -215,19 +226,27 @@ def test_shipped_bundle_matches_benchmark_digest(tmp_path, workload, config, job
 
 
 # sha256 of json.dumps({"produce": record, "besov": record}, sort_keys=True) for
-# configs/vortex.json at seed 20240 with checks ["produce", "besov"], recorded
-# at the commit before produce and besov took one Besov pass for all their
-# exponents; the benchmark's vortex digest needs the 8 s interaction check
+# configs/vortex.json at seed 20240, recorded at the commit before produce and
+# besov took one Besov pass for all their exponents; the benchmark's vortex
+# digest needs the 8 s interaction check
 VORTEX_PRODUCE_BESOV_SHA256 = "ecb53fcfbb01d4d125556cfebaf2a810230dcf24d91edb14896ef919bd063ce5"
+# the same for {"kinetic": record, "factorize": record, "manifest": their entries},
+# recorded at the commit before cli built the ladder and factorization records
+VORTEX_KINETIC_FACTORIZE_SHA256 = "2b0faa89fd3f2d9429a472bce66c9435f977c75427beeb39f80e3d977244a416"
 
 
 def test_shipped_vortex_produce_and_besov_records_unchanged(tmp_path):
     obj = json.loads((ROOT / "configs" / "vortex.json").read_text())
-    obj.update(out=str(tmp_path / "out"), seed=20240, checks=["produce", "besov"])
+    obj.update(out=str(tmp_path / "out"), seed=20240, checks=["produce", "besov", "kinetic", "factorize"])
     bundle, _ = run_config(config_from_json(obj))
     records = {name: bundle["checks"][name] for name in ("produce", "besov")}
     text = json.dumps(records, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == VORTEX_PRODUCE_BESOV_SHA256
+    records = {name: bundle["checks"][name] for name in ("kinetic", "factorize")}
+    records["manifest"] = {k: v for k, v in bundle["manifest"].items()
+                          if k.split("/")[0] in ("kinetic", "factorize")}
+    text = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == VORTEX_KINETIC_FACTORIZE_SHA256
 
 
 def test_each_check_takes_one_besov_pass(tmp_path, monkeypatch):
@@ -420,10 +439,12 @@ def test_benchmark_tracer_contract(tmp_path):
 
 
 #: runs that reach every method of ``src/`` whose name another class also
-#: defines: every check on each field kind (the vortex interaction check's
-#: (48, 96) identity grids are too slow here; ``_methods_reached`` runs its
-#: identity on a 16-cell grid), and the ``show-entropy`` subcommand, the only
-#: caller of ``CircleFunction.to_json`` and ``EntropyMap.to_json``
+#: defines, and read every dataclass field whose name another class also
+#: declares: every check on each field kind (the vortex interaction check's
+#: (48, 96) identity grids are too slow here; ``_reached`` runs its identity on
+#: a 16-cell grid and reads its ``rel_residual``, as the check does), and the
+#: ``show-entropy`` subcommand, the only caller of ``CircleFunction.to_json``
+#: and ``EntropyMap.to_json``
 _REACHING_RUNS = (
     ({"kind": "constant", "theta0": 0.3}, list(cli.ALL_CHECKS), 64),
     ({"kind": "jump"}, list(cli.ALL_CHECKS), 96),
@@ -431,10 +452,12 @@ _REACHING_RUNS = (
 )
 
 
-def _methods_reached(monkeypatch, tmp_path, methods: set[tuple[str, str, str]]) -> set[str]:
-    """Which of ``methods`` (module, class, method) run under ``_REACHING_RUNS``;
-    each is recorded on the class that defines it, so a call through another
-    class with a method of the same name does not count."""
+def _reached(monkeypatch, tmp_path, methods: set[tuple[str, str, str]],
+             fields: set[tuple[str, str, str]]) -> set[str]:
+    """Which of ``methods`` (module, class, method) run and which of ``fields``
+    (module, class, field) are read under ``_REACHING_RUNS``; each is recorded on
+    the class that declares it, so a call or a read through another class with a
+    member of the same name does not count."""
     reached = set()
 
     def recording(key, fn):
@@ -443,16 +466,28 @@ def _methods_reached(monkeypatch, tmp_path, methods: set[tuple[str, str, str]]) 
             return fn(*args, **kwargs)
         return wrapped
 
+    def reading(prefix, names, get):
+        def getattribute(self, name):
+            if name in names:
+                reached.add(f"{prefix}.{name}")
+            return get(self, name)
+        return getattribute
+
     for mod, clsname, name in methods:
         cls = getattr(importlib.import_module(f"eelab.{mod}"), clsname)
         monkeypatch.setattr(cls, name, recording(f"{mod}.{clsname}.{name}", cls.__dict__[name]))
+    for mod, clsname in {(mod, clsname) for mod, clsname, _ in fields}:
+        cls = getattr(importlib.import_module(f"eelab.{mod}"), clsname)
+        names = {name for m, c, name in fields if (m, c) == (mod, clsname)}
+        monkeypatch.setattr(cls, "__getattribute__", reading(f"{mod}.{clsname}", names, cls.__getattribute__))
     for i, (fld, checks, n) in enumerate(_REACHING_RUNS):
         obj = dict(BASE, field=fld, checks=checks, grid={"n": n, "extent": 2.0}, out=str(tmp_path / str(i)))
         bundle, _ = run_config(config_from_json(obj))
         assert all(rec["status"] != "ERROR" for rec in bundle["checks"].values()), fld
     # the vortex interaction check's identity, on a grid small enough for tier 1
     interaction_identity_check(build_field(VortexSpec(), centered_grid(16, 2.0)),
-                               RadialBump(center=(0.0, 0.0), r0=0.54, width=0.23), InteractionWeight(0.5), 0.2)
+                               RadialBump(center=(0.0, 0.0), r0=0.54, width=0.23),
+                               InteractionWeight(0.5), 0.2).rel_residual
     assert main(["show-entropy", "--f", "random:4:1"]) == 0
     return reached
 
@@ -467,11 +502,11 @@ def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
     every check and ``show-entropy`` (``_REACHING_RUNS``).  Exempt are the entry
     points ``cli.main`` and the EELF pair ``read_field``/``write_field``, dunder
     (protocol) methods, and the methods that perfbench/tracer.py wraps by name
-    (its ``METHODS``).  Every field of a dataclass is read as an attribute in
-    ``src/``, but for the classes serialized whole (``BesovReport`` through
-    ``asdict``, and any class with a ``to_json``) and the config keys of
-    ``ExperimentConfig``, which ``schema`` reads by name.  ``__init__`` imports
-    nothing."""
+    (its ``METHODS``).  Every field of a ``src/`` dataclass is read: a field
+    whose name no other dataclass declares may be read as an attribute anywhere
+    in ``src/``; any other field, and one that no attribute read names, must be
+    read on its own class under ``_REACHING_RUNS`` (``asdict`` and ``render``
+    read every field of what they serialize).  ``__init__`` imports nothing."""
     def names(tree):
         return Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
 
@@ -500,19 +535,19 @@ def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
             unused.append(f"{mod}.{cls.name}.{node.name}")
     reads = Counter(n.attr for t in trees.values() for n in ast.walk(t)
                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
-    whole = {"BesovReport", "ExperimentConfig"}
-    unused += [f"{mod}.{cls.name}.{node.target.id}" for mod, tree in trees.items() for cls in tree.body
-               if isinstance(cls, ast.ClassDef) and cls.name not in whole
-               and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
-               and not any(isinstance(n, ast.FunctionDef) and n.name == "to_json" for n in cls.body)
-               for node in cls.body if isinstance(node, ast.AnnAssign) and not reads[node.target.id]]
+    fields = [(mod, cls.name, node.target.id) for mod, tree in trees.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef)
+              and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+              for node in cls.body if isinstance(node, ast.AnnAssign)]
+    declarers = Counter(name for _, _, name in fields)
+    read_at_run = {f for f in fields if declarers[f[2]] > 1 or not reads[f[2]]}
     init = ast.parse((ROOT / "src" / "eelab" / "__init__.py").read_text(encoding="utf-8"))
     unused += [ast.unparse(n) for n in ast.walk(init) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert unused == []
     by_class = {(mod, cls.name, node.name) for mod, cls, node in methods if node.name in shared}
-    reached = _methods_reached(monkeypatch, tmp_path, by_class)
+    reached = _reached(monkeypatch, tmp_path, by_class, read_at_run)
     capsys.readouterr()
-    assert sorted(f"{mod}.{cls}.{name}" for mod, cls, name in by_class) == sorted(reached)
+    assert sorted({".".join(key) for key in by_class | read_at_run} - reached) == []
 
 
 #: what a report field or a parameter of a library function would be called if it

@@ -203,11 +203,13 @@ def test_verify_harmonic_decomposition_second_term_subleading():
 def test_vanishing_production_vortex_and_negative_control():
     fs = [("cos2", CircleFunction.cosine(2)),
           ("rand", CircleFunction.random_real(6, np.random.default_rng(3)))]
-    rep = vanishing_production_check(vortex_ladder(), fs, annulus)
+    lad = vortex_ladder()
+    rep = vanishing_production_check(lad, generated_productions(lad, [f for _, f in fs]), annulus)
     assert all(r > 0.9 for r in rep.rates)  # every production vanishes: no negative control
 
+    lad = ladder(JumpSpec())
     repj = vanishing_production_check(
-        ladder(JumpSpec()), fs, lambda g: g.rect_mask(-0.5, 0.5, -0.35, 0.35)
+        lad, generated_productions(lad, [f for _, f in fs]), lambda g: g.rect_mask(-0.5, 0.5, -0.35, 0.35)
     )
     assert not all(r >= 0.9 for r in repj.rates)  # flagged as the negative control
     assert min(repj.rates) < 0.3
@@ -220,7 +222,8 @@ def test_vanishing_production_vortex_and_negative_control():
 
 def test_vanishing_production_constant_noise_floor():
     fs = [("cos2", CircleFunction.cosine(2))]
-    rep = vanishing_production_check(ladder(ConstantSpec(0.5), ((64, 0.16), (128, 0.08))), fs,
+    lad = ladder(ConstantSpec(0.5), ((64, 0.16), (128, 0.08)))
+    rep = vanishing_production_check(lad, generated_productions(lad, [f for _, f in fs]),
                                      lambda g: g.rect_mask(-0.5, 0.5, -0.5, 0.5))
     assert all(r >= 0.9 for r in rep.rates)  # rounding-level masses count as vanished
 

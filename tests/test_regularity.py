@@ -209,7 +209,6 @@ def coercivity_scan_oracle(m, samples, weight: InteractionWeight) -> CoercivityR
         np.arcsin(np.minimum([rec.dm / 2 for rec in used], 1.0)), weight)
     gap = float(np.max(np.abs([rec.delta for rec in used] - closed), initial=0.0))
     return CoercivityReport(
-        alpha=weight.alpha,
         min_ratio=min_ratio,
         n_used=len(used),
         gated_min_ratio=float(min(gated, default=np.inf)),
@@ -435,6 +434,8 @@ def test_vortex_interaction_identity_bits():
                                      0.1 * cfg.extent)
     assert repr(rep.lhs) == "0.013132165914212207"
     assert repr(rep.rhs) == "0.017242891386784913"
+    # float(): the pin is on the bits (a numpy scalar's repr would also name its type)
+    assert repr(float(rep.rel_residual)) == "0.23840116952329687"
 
 
 def test_interaction_identity_domain_guard():
