@@ -195,15 +195,20 @@ def _factorize_margin(cfg: ExperimentConfig, grid: Grid2) -> float:
 
 
 def _empty_windows(cfg: ExperimentConfig) -> list[str]:
-    """The check windows that hold no cell: the check region at the widest margin a
-    check uses on a grid, the coarsest for factorize and the finest for produce (its
-    largest scale plus a stencil cell, or the jump's cubic-average radius)."""
+    """The check windows that hold no cell or, for a vortex, leave the domain: the check
+    region at the widest margin a check uses on a grid, the coarsest for factorize and the
+    finest for produce (its largest scale plus a stencil cell, or the jump's cubic-average radius)."""
     n_c, (n_f, eps) = cfg.refinement()[0][0], cfg.refinement()[-1]
     h_f = cfg.extent / n_f
     produce = {"vortex": max(_PRODUCE_SCALES["vortex"]) * eps + h_f,
                "jump": _JUMP_CUBIC_CELLS * h_f}.get(cfg.field.kind, eps + h_f)
     factorize = _factorize_margin(cfg, centered_grid(n_c, cfg.extent))
     out = []
+    if cfg.field.kind == "vortex":  # produce widens the annulus by eps; it must stay in the domain
+        (cx, cy), r = cfg.field.center, 0.7 * cfg.extent / 2 + eps
+        if not np.all(cfg.grid().contains(cx + np.array([r, -r, 0, 0]), cy + np.array([0, 0, r, -r]))):
+            out.append(f"config field.center {[cx, cy]} puts the vortex annulus 0.45 < r/(extent/2) < 0.7, "
+                       f"widened by {eps:.4g}, past the domain [-{cfg.extent / 2:g}, {cfg.extent / 2:g}]^2")
     for check, n, margin in (("factorize", n_c, factorize), ("produce", n_f, produce)):
         if not np.any(_region(cfg, centered_grid(n, cfg.extent), margin)):
             out.append(f"grid too small: the {check} window, the check region at distance >= "
@@ -259,8 +264,9 @@ def _region(cfg: ExperimentConfig, grid: Grid2, margin: float = 0.0):
 
 
 def _annulus(cfg: ExperimentConfig, grid: Grid2, pad: float = 0.0):
-    """The vortex annulus 0.45 < r / (extent/2) < 0.7, widened by ``pad`` on both sides."""
-    r = np.hypot(*grid.meshgrid())
+    """The vortex annulus 0.45 < |x - center| / (extent/2) < 0.7, widened by ``pad`` on both sides."""
+    (x, y), (cx, cy) = grid.meshgrid(), cfg.field.center
+    r = np.hypot(x - cx, y - cy)
     return (r > 0.45 * cfg.extent / 2 - pad) & (r < 0.7 * cfg.extent / 2 + pad)
 
 

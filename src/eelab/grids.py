@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, IO
 
 import numpy as np
+import numpy.fft
 from numpy.typing import NDArray
-from scipy import fft as sp_fft
 
 from .schema import ConfigError, key, read_keys
 
@@ -331,12 +331,21 @@ class Mollifier:
         return w / w.sum() / spacing**2  # sum(w) * spacing^2 == 1
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, what ``scipy.fft.next_fast_len(n, True)`` returns
+    (k has no prime factor above 5 exactly when k divides 30^k)."""
+    return next(k for k in range(n, 2 * n + 1) if pow(30, k, k) == 0)
+
+
 def _convolve_same(a: FloatArray, w: FloatArray) -> FloatArray:
     """Linear convolution a * w on its centred ``a.shape`` window, bit for bit what
-    ``fftconvolve(a, w, mode="same")`` returns: same real FFTs, padded shape and window."""
+    ``fftconvolve(a, w, mode="same")`` returns: same real FFTs, padded shape and window,
+    and the inverse scaled as scipy scales it, by 1/(f0 f1) once after the c2r pass
+    (``numpy.fft.irfftn`` scales each axis on its own, which rounds differently)."""
     full = [n1 + n2 - 1 for n1, n2 in zip(a.shape, w.shape)]
-    fshape = [sp_fft.next_fast_len(n, True) for n in full]
-    out = sp_fft.irfftn(sp_fft.rfftn(a, fshape) * sp_fft.rfftn(w, fshape), fshape)
+    f0, f1 = (_fast_len(n) for n in full)
+    spec = np.fft.ifft(np.fft.rfft2(a, (f0, f1)) * np.fft.rfft2(w, (f0, f1)), f0, axis=0, norm="forward")
+    out = np.fft.irfft(spec, f1, axis=1, norm="forward") * (1.0 / (f0 * f1))
     start = [(n - n1) // 2 for n, n1 in zip(full, a.shape)]
     return out[tuple(slice(s, s + n1) for s, n1 in zip(start, a.shape))].copy()
 

@@ -639,6 +639,32 @@ def test_bad_config_rejected_before_compute(tmp_path, capsys, path, value, fragm
     assert not out.exists()
 
 
+def test_vortex_annulus_follows_the_center():
+    # r is measured from field.center: a center moved by whole cells moves the annulus with it
+    grid, eps = centered_grid(64, 2.0), 0.125
+    centered = cli._annulus(cli.ExperimentConfig(field=VortexSpec()), grid, eps)
+    moved = cli._annulus(cli.ExperimentConfig(field=VortexSpec(center=(0.125, -0.0625))), grid, eps)
+    assert moved.any() and np.array_equal(moved, np.roll(centered, (-2, 4), axis=(0, 1)))
+
+
+@pytest.mark.parametrize("checks", [None, "produce,besov,factorize"])
+def test_off_center_vortex_whose_annulus_leaves_the_domain_is_rejected(tmp_path, capsys, checks):
+    # the shipped vortex moved to (0.5, 0): its annulus, widened by produce's eps,
+    # crosses x = 1, so every run stops before compute whatever checks it runs
+    obj = json.loads((ROOT / "configs" / "vortex.json").read_text())
+    obj["field"]["center"] = [0.5, 0.0]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(obj))
+    message = ("config field.center [0.5, 0.0] puts the vortex annulus 0.45 < r/(extent/2) < 0.7, "
+               "widened by 0.0625, past the domain [-1, 1]^2")
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    argv = ["run", "--config", str(cfg), "--out", str(out)] + (["--check", checks] if checks else [])
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cut_kinetic_test_function_rejected_only_when_kinetic_runs(tmp_path, capsys):
     # the edge point above cuts the straddling test function off; only a run whose
     # final check list holds kinetic pairs it with anything
@@ -720,12 +746,32 @@ def test_vortex_interaction_scan_passes_at_every_seed(monkeypatch):
     assert failed == []
 
 
-def test_cli_import_leaves_heavy_scipy_unloaded():
-    """``import eelab.cli`` loads scipy only through ``scipy.fft``.  Checked in a
-    child process: the test process has imported these packages already."""
-    heavy = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg")
+def test_cli_import_loads_no_scipy():
+    """``import eelab.cli`` loads no scipy module: scipy is a test oracle only.
+    Checked in a child process: the test process has imported scipy already."""
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import eelab.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_runs_without_scipy(tmp_path):
+    # every check of the small constant and jump runs, in a child where any scipy
+    # import raises, ends as in process and writes the same bundle bytes
+    objs = [dict(BASE, field=fld, grid={"n": n, "extent": 2.0}, checks=checks, out=str(tmp_path / kind))
+            for (fld, checks, n), kind in zip(_REACHING_RUNS[:2], ("constant", "jump"))]
+    code = (f"import json, sys; sys.modules['scipy'] = None; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "from eelab.cli import config_from_json, run_config; "
+            "sys.exit(max(run_config(config_from_json(json.loads(a)))[1] for a in sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *map(json.dumps, objs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for obj, skip in zip(objs, ((), ("interaction",))):
+        child = (Path(obj["out"]) / "bundle.json").read_bytes()
+        statuses = {k: v["status"] for k, v in json.loads(child)["checks"].items()}
+        assert statuses == {c: "SKIP" if c in skip else "PASS" for c in cli.ALL_CHECKS}
+        cfg = config_from_json(obj)
+        cfg.out = str(tmp_path / "in-process")
+        run_config(cfg)
+        assert (tmp_path / "in-process" / "bundle.json").read_bytes() == child

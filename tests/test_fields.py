@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
@@ -21,6 +22,7 @@ from eelab.grids import (
     VortexSpec,
     _bump_profile,
     _convolve_same,
+    _fast_len,
     _overlap,
     build_field,
     central_partials,
@@ -138,6 +140,21 @@ def test_convolve_same_matches_fftconvolve_bitwise(ny, nx, radius, seed):
     a = rng.normal(size=(ny, nx + (nx == ny)))  # never square
     w = rng.random((2 * radius + 1, 2 * radius + 1))
     assert np.array_equal(_convolve_same(a, w), fftconvolve(a, w, mode="same"))
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("radius", [8, 16, 32])
+def test_convolve_same_matches_fftconvolve_on_ladder_shapes(n, radius):
+    # the square grids and the eps, 2 eps and 4 eps kernels (eps = 8 cells) the shipped ladders mollify with
+    h = 2.0 / n
+    a = np.cos(np.random.default_rng(n + radius).uniform(0, TWO_PI, (n, n)))
+    w = Mollifier(radius * h).discrete_weights(h) * h**2
+    assert w.shape == (2 * radius + 1,) * 2
+    assert np.array_equal(_convolve_same(a, w), fftconvolve(a, w, mode="same"))
+
+
+def test_fast_len_is_scipys_real_transform_length():
+    assert [_fast_len(n) for n in range(1, 10_001)] == [next_fast_len(n, True) for n in range(1, 10_001)]
 
 
 def effective_mask(v: VecField) -> np.ndarray:
