@@ -1,15 +1,15 @@
 """Configuration-driven experiment runner.
 
-A JSON config declares a test field, grid/refinement parameters, ladders,
-exponents and an entropy suite; ``eelab run`` executes the requested checks,
-writes CSV/JSON artifacts and a result bundle, and exits nonzero iff any
-check fails.  A check measures and lists its gates ``(name, value, op,
-bound)``; ``_failed_gates`` alone compares a value with its bound, and a
-check fails iff one of its gates does.  The checks run one after another on
-the calling thread and share one read-only refinement ladder; only the
-kernels spread work over the worker threads of ``quadrature._run_tasks``.  Identical configs reproduce
-byte-identical artifacts whatever ``--jobs`` or the CPU count (every result is
-a pure function of the ladder, written in a fixed order).
+A JSON config declares a test field, grid/refinement parameters, ladders, exponents and an
+entropy suite; ``eelab run`` executes the requested checks, writes CSV/JSON artifacts and a
+result bundle, and exits nonzero iff any check fails.  A check measures and lists its gates
+``(name, value, op, bound)``; ``_failed_gates`` alone compares a value with its bound, and a
+check fails iff one of its gates does.  What a check does differently on a field kind comes
+from the kind's ``_KINDS`` record.  The checks run one after another on the calling thread
+and share one read-only refinement ladder; only the kernels spread work over the worker
+threads of ``quadrature._run_tasks``.  Identical configs reproduce byte-identical artifacts
+whatever ``--jobs`` or the CPU count (every result is a pure function of the ladder,
+written in a fixed order).
 
 Subcommands: run, validate-config, dump-field, show-entropy.
 Flags: --config, --out, --jobs, --seed, --check; environment overrides
@@ -25,6 +25,7 @@ import json
 import operator
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, make_dataclass
 from pathlib import Path
 
@@ -59,7 +60,6 @@ from .grids import (
     ConstantSpec,
     FieldSpec,
     Grid2,
-    JumpSpec,
     ScalarField,
     build_field,
     centered_grid,
@@ -195,40 +195,17 @@ def _factorize_margin(cfg: ExperimentConfig, grid: Grid2) -> float:
 
 
 def _empty_windows(cfg: ExperimentConfig) -> list[str]:
-    """The check windows that hold no cell or, for a vortex, leave the domain: the check
-    region at the widest margin a check uses on a grid, the coarsest for factorize and the
-    finest for produce (its largest scale plus a stencil cell, or the jump's cubic-average radius)."""
-    n_c, (n_f, eps) = cfg.refinement()[0][0], cfg.refinement()[-1]
-    h_f = cfg.extent / n_f
-    produce = {"vortex": max(_PRODUCE_SCALES["vortex"]) * eps + h_f,
-               "jump": _JUMP_CUBIC_CELLS * h_f}.get(cfg.field.kind, eps + h_f)
-    factorize = _factorize_margin(cfg, centered_grid(n_c, cfg.extent))
-    out = []
-    if cfg.field.kind == "vortex":  # produce widens the annulus by eps; it must stay in the domain
-        (cx, cy), r = cfg.field.center, 0.7 * cfg.extent / 2 + eps
-        if not np.all(cfg.grid().contains(cx + np.array([r, -r, 0, 0]), cy + np.array([0, 0, r, -r]))):
-            out.append(f"config field.center {[cx, cy]} puts the vortex annulus 0.45 < r/(extent/2) < 0.7, "
-                       f"widened by {eps:.4g}, past the domain [-{cfg.extent / 2:g}, {cfg.extent / 2:g}]^2")
-    for check, n, margin in (("factorize", n_c, factorize), ("produce", n_f, produce)):
+    """The kind's domain test, then the check windows that hold no cell: the check region at
+    the widest margin a check uses on a grid, the coarsest for factorize, the finest for produce."""
+    kind, n_c, (n_f, eps) = _KINDS[cfg.field.kind], cfg.refinement()[0][0], cfg.refinement()[-1]
+    out = kind.domain_test(cfg, eps)
+    for check, n, margin in (("factorize", n_c, _factorize_margin(cfg, centered_grid(n_c, cfg.extent))),
+                             ("produce", n_f, kind.produce_margin(eps, cfg.extent / n_f))):
         if not np.any(_region(cfg, centered_grid(n, cfg.extent), margin)):
             out.append(f"grid too small: the {check} window, the check region at distance >= "
                        f"{margin:.4g} from the boundary of the {n}-cell grid, holds no cell "
                        f"(grid.n={cfg.n}, levels={cfg.levels}, eps_cells={cfg.eps_cells:g})")
     return out
-
-
-def _kinetic_test_functions(cfg: ExperimentConfig) -> list[SpaceTimeTestFunction]:
-    """The kinetic check's test functions, paired with every level of the ladder."""
-    kind, box = cfg.field.kind, 0.25 * cfg.extent
-    if kind == "constant":
-        return test_function_suite(np.random.default_rng(cfg.seed + 17), 3, box,
-                                   (0.15 * cfg.extent, 0.25 * cfg.extent))
-    q = CircleFunction.random_real(5, np.random.default_rng(cfg.seed + (11 if kind == "vortex" else 13)))
-    if kind == "vortex":
-        bump = RadialBump(center=cfg.field.center, r0=0.3125 * cfg.extent, width=0.125 * cfg.extent)
-        return [SpaceTimeTestFunction(bump, q, "annular")]
-    bump = TensorBump(center=(0.05 * cfg.extent, cfg.field.point[1]), halfwidth=(box, box))
-    return [SpaceTimeTestFunction(bump, q, "straddling")]
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +230,8 @@ def _failed_gates(gates: list[tuple[str, float, str, float]]) -> list[dict]:
 
 
 def _region(cfg: ExperimentConfig, grid: Grid2, margin: float = 0.0):
-    """Subdomain for norms: annulus for vortex-like fields, box else, and only its
-    cells at distance >= margin from the boundary."""
-    if cfg.field.kind == "vortex":
-        region = _annulus(cfg, grid)
-    else:
-        half = 0.3 * cfg.extent
-        region = grid.rect_mask(-half, half, -half, half)
-    return region & grid.interior_mask(margin)
+    """Subdomain for norms: the kind's check region, only its cells >= margin from the boundary."""
+    return _KINDS[cfg.field.kind].region(cfg, grid) & grid.interior_mask(margin)
 
 
 def _annulus(cfg: ExperimentConfig, grid: Grid2, pad: float = 0.0):
@@ -270,8 +241,11 @@ def _annulus(cfg: ExperimentConfig, grid: Grid2, pad: float = 0.0):
     return (r > 0.45 * cfg.extent / 2 - pad) & (r < 0.7 * cfg.extent / 2 + pad)
 
 
-#: multiples of the finest scale at which check_produce also mollifies the finest field
-_PRODUCE_SCALES = {"constant": (), "jump": (2,), "vortex": (4, 2)}
+def _box(frac: float) -> Callable:
+    """The region |x|, |y| <= frac * extent, on a config's grid."""
+    return lambda cfg, grid: grid.rect_mask(*(s * frac * cfg.extent for s in (-1, 1, -1, 1)))
+
+
 #: cells of the jump's cubic-average scale (midpoint quadrature needs a well-resolved half disk)
 _JUMP_CUBIC_CELLS = 32
 
@@ -292,95 +266,159 @@ def _entropy_suite(cfg: ExperimentConfig, rng: np.random.Generator) -> list[tupl
     return fs
 
 
+def _produce_constant(cfg, scales, prods, details, rows) -> list:
+    """The constant field's produce gate: its finest production vanishes."""
+    d = prods[-1]
+    worst = float(np.max(np.abs(d.values[d.effective_mask()])))
+    details["sup_production"] = worst
+    return [("trivial_production", worst, "<=", cfg.tol("trivial_production"))]
+
+
+def _produce_vortex(cfg, scales, prods, details, rows) -> list:
+    """The vortex's produce gates: the production decays, the cubic average bounds it."""
+    m, eps = scales[-1].m, scales[-1].eps
+    grid = m.grid
+    eps_ladder = [lv.eps for lv in scales]
+    norms = production_ladder(prods, cfg.p, _region(cfg, grid))
+    details["ladder"] = {"eps": eps_ladder, "lp": norms, "p": cfg.p, "label": "jin-kohn-1"}
+    details["decay_rate"] = decay_rate(eps_ladder, norms)
+    rows += [["jin-kohn-1", e, v] for e, v in zip(eps_ladder, norms)]
+    pms = [cubic_difference_average(lv.m, lv.eps) for lv in scales[1:]]
+    bound = pointwise_bound_check(prods[1:], pms, jin_kohn_circle(1), _region(cfg, grid))
+    details["pointwise_sup_ratios"] = list(bound.sup_ratios)
+    inner = _region(cfg, grid, eps + grid.spacing)
+    outer = _annulus(cfg, grid, eps)
+    hs = [grid.spacing * c for c in cfg.h_ladder_cells]
+    [bnd] = cubic_average_besov_bound(m, [cfg.p], inner, outer, hs, pm=pms[-1])
+    details["bounded_sequence_ratio"] = bnd.ratio
+    return [("pointwise_bound", max(bound.sup_ratios), "<=", cfg.tol("pointwise_bound")),
+            ("dead_cell_fraction", max(bound.dead_cell_fractions), "<=", 1e-4),
+            ("bounded_sequence", bnd.lhs, "<=", bnd.rhs),
+            ("decay_rate", details["decay_rate"], ">=", cfg.tol("decay_rate"))]
+
+
+def _produce_jump(cfg, scales, prods, details, rows) -> list:
+    """The jump's produce gates: the jump cost, the cubic average on the line and its bound."""
+    spec, m = cfg.field, scales[-1].m
+    mp, mm = spec.traces()
+    nrm = spec.unit_normal()
+    expected = float(nrm @ (jin_kohn(1).value(mp[None])[0] - jin_kohn(1).value(mm[None])[0]))
+    grid = m.grid
+    half = 0.3 * cfg.extent
+    strip = grid.rect_mask(-half, half, spec.point[1] - half, spec.point[1] + half)
+    repm = jump_production_mass(prods, expected, strip)
+    details["jump_mass"] = {"expected": expected, "masses": list(repm.masses),
+                            "rel_errors": list(repm.rel_errors)}
+    rows += [["jump-mass", lv.eps, v] for lv, v in zip(scales, repm.masses)]
+    # cubic average on the jump line; expected value from the cap area at the
+    # distance of the nearest cell row
+    eps_b = _JUMP_CUBIC_CELLS * grid.spacing
+    pm = cubic_difference_average(m, eps_b)
+    jrow = int(np.argmin(np.abs(grid.ys() - spec.point[1])))
+    d = abs(float(grid.ys()[jrow]) - spec.point[1])
+    w = d / eps_b
+    cap = float(np.arccos(w) - w * np.sqrt(1 - w * w))
+    line_mask = pm.effective_mask()[jrow]
+    jval = float(np.max(pm.values[jrow][line_mask]))
+    jump_j = float(np.linalg.norm(mp - mm))
+    ratio = jval * eps_b / (cap * jump_j**3)
+    details["line_ratio"] = ratio
+    box = 2 * eps_b
+    inner = grid.rect_mask(-box, box, spec.point[1] - box, spec.point[1] + box)
+    outer = grid.rect_mask(-box - eps_b, box + eps_b, spec.point[1] - box - eps_b,
+                           spec.point[1] + box + eps_b)
+    hs = [grid.spacing * c for c in cfg.h_ladder_cells]
+    ratios = [b.ratio for b in cubic_average_besov_bound(
+        m, (1.0, 7.0 / 6.0, 4.0 / 3.0), inner, outer, hs, pm=pm)]
+    details["bounded_sequence_ratios"] = ratios
+    return [("jump_mass_rel", repm.rel_errors[-1], "<=", cfg.tol("jump_mass_rel")),
+            ("line_ratio_lo", ratio, ">=", cfg.tol("line_ratio_lo")),
+            ("line_ratio_hi", ratio, "<=", cfg.tol("line_ratio_hi")),
+            *[("bounded_sequence", r, "<=", 1.0) for r in ratios]]
+
+
+def _annulus_leaves_domain(cfg: ExperimentConfig, eps: float) -> list[str]:
+    """The vortex's domain test: produce widens the annulus by eps; it must stay in the domain."""
+    (cx, cy), r = cfg.field.center, 0.7 * cfg.extent / 2 + eps
+    if np.all(cfg.grid().contains(cx + np.array([r, -r, 0, 0]), cy + np.array([0, 0, r, -r]))):
+        return []
+    return [f"config field.center {[cx, cy]} puts the vortex annulus 0.45 < r/(extent/2) < 0.7, "
+            f"widened by {eps:.4g}, past the domain [-{cfg.extent / 2:g}, {cfg.extent / 2:g}]^2"]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What the checks do differently on one field kind.  Its functions call eelab functions
+    by name: the benchmark's tracer rebinds module attributes.  A jump set carries the kinetic
+    measure, makes factorize the negative control and leaves out the interaction identity."""
+
+    region: Callable  # (cfg, grid) -> the check region's cells
+    produce_scales: tuple[int, ...]  # multiples of the finest eps at which produce mollifies again
+    produce_margin: Callable  # (eps, spacing) of the finest level -> produce's window margin
+    produce_gates: Callable  # (cfg, scales, prods, details, rows) -> gates; adds details, rows
+    besov_gates: Callable  # (cfg, q, report) -> the gates of the kind's prediction at q
+    test_functions: Callable  # cfg -> the kinetic check's test functions
+    jump_set: bool = False
+    besov_region: Callable | None = None  # None: the check region
+    identity_bump: Callable = lambda cfg: None  # the interaction identity's bump, if it has one
+    domain_test: Callable = lambda cfg, eps: []  # (cfg, finest eps) -> config errors
+
+
+_KINDS = {
+    "constant": _Kind(
+        region=_box(0.3), produce_scales=(), produce_margin=lambda eps, h: eps + h,
+        produce_gates=_produce_constant,
+        besov_gates=lambda cfg, q, rep: [("seminorm", rep.seminorm, "<=", 1e-12)],
+        test_functions=lambda cfg: test_function_suite(
+            np.random.default_rng(cfg.seed + 17), 3, 0.25 * cfg.extent,
+            (0.15 * cfg.extent, 0.25 * cfg.extent))),
+    "vortex": _Kind(
+        region=_annulus, produce_scales=(4, 2), produce_margin=lambda eps, h: 4 * eps + h,
+        produce_gates=_produce_vortex,
+        besov_gates=lambda cfg, q, rep: [  # a vanishing seminorm has no slope to gate
+            ("smooth_slope", rep.slope, ">=", cfg.tol("smooth_slope"))] if rep.seminorm != 0.0 else [],
+        test_functions=lambda cfg: [SpaceTimeTestFunction(
+            RadialBump(center=cfg.field.center, r0=0.3125 * cfg.extent, width=0.125 * cfg.extent),
+            CircleFunction.random_real(5, np.random.default_rng(cfg.seed + 11)), "annular")],
+        identity_bump=lambda cfg: RadialBump(
+            center=cfg.field.center, r0=0.27 * cfg.extent, width=0.115 * cfg.extent),
+        domain_test=_annulus_leaves_domain),
+    "jump": _Kind(
+        region=_box(0.3), produce_scales=(2,), produce_margin=lambda eps, h: _JUMP_CUBIC_CELLS * h,
+        produce_gates=_produce_jump,
+        besov_gates=lambda cfg, q, rep: [("slope_tol", abs(rep.slope - 1.0 / q), "<=", cfg.tol("slope_tol"))],
+        test_functions=lambda cfg: [SpaceTimeTestFunction(
+            TensorBump(center=(0.05 * cfg.extent, cfg.field.point[1]),
+                       halfwidth=(0.25 * cfg.extent, 0.25 * cfg.extent)),
+            CircleFunction.random_real(5, np.random.default_rng(cfg.seed + 13)), "straddling")],
+        jump_set=True, besov_region=_box(0.375)),
+}
+
+
 def check_produce(cfg: ExperimentConfig, ladder: list[Level],
                   rng: np.random.Generator) -> CheckResult:
-    kind = cfg.field.kind
+    kind = _KINDS[cfg.field.kind]
     details: dict = {}
     rows = []
-    gates = []
-
     fine = ladder[-1]
-    m, eps = fine.m, fine.eps
-    # the finest field at 4 eps (vortex) and 2 eps (vortex, jump), coarsest first
-    scales = [mollified_level(m, eps * k) for k in _PRODUCE_SCALES[kind]] + [fine]
+    # the finest field at the kind's extra scales, coarsest first
+    scales = [mollified_level(fine.m, fine.eps * k) for k in kind.produce_scales] + [fine]
     prods = [div_entropy(lv.v, jin_kohn(1)) for lv in scales]
-    if kind == "constant":
-        d = prods[-1]
-        worst = float(np.max(np.abs(d.values[d.effective_mask()])))
-        details["sup_production"] = worst
-        gates.append(("trivial_production", worst, "<=", cfg.tol("trivial_production")))
-    elif kind == "vortex":
-        grid = m.grid
-        eps_ladder = [lv.eps for lv in scales]
-        norms = production_ladder(prods, cfg.p, _region(cfg, grid))
-        details["ladder"] = {"eps": eps_ladder, "lp": norms, "p": cfg.p, "label": "jin-kohn-1"}
-        details["decay_rate"] = decay_rate(eps_ladder, norms)
-        rows += [["jin-kohn-1", e, v] for e, v in zip(eps_ladder, norms)]
-        pms = [cubic_difference_average(lv.m, lv.eps) for lv in scales[1:]]
-        bound = pointwise_bound_check(prods[1:], pms, jin_kohn_circle(1), _region(cfg, grid))
-        details["pointwise_sup_ratios"] = list(bound.sup_ratios)
-        inner = _region(cfg, grid, eps + grid.spacing)
-        outer = _annulus(cfg, grid, eps)
-        hs = [grid.spacing * c for c in cfg.h_ladder_cells]
-        [bnd] = cubic_average_besov_bound(m, [cfg.p], inner, outer, hs, pm=pms[-1])
-        details["bounded_sequence_ratio"] = bnd.ratio
-        gates += [("pointwise_bound", max(bound.sup_ratios), "<=", cfg.tol("pointwise_bound")),
-                  ("dead_cell_fraction", max(bound.dead_cell_fractions), "<=", 1e-4),
-                  ("bounded_sequence", bnd.lhs, "<=", bnd.rhs),
-                  ("decay_rate", details["decay_rate"], ">=", cfg.tol("decay_rate"))]
-    elif kind == "jump":
-        spec: JumpSpec = cfg.field  # type: ignore[assignment]
-        mp, mm = spec.traces()
-        nrm = spec.unit_normal()
-        expected = float(nrm @ (jin_kohn(1).value(mp[None])[0] - jin_kohn(1).value(mm[None])[0]))
-        grid = m.grid
-        half = 0.3 * cfg.extent
-        strip = grid.rect_mask(-half, half, spec.point[1] - half, spec.point[1] + half)
-        repm = jump_production_mass(prods, expected, strip)
-        details["jump_mass"] = {"expected": expected, "masses": list(repm.masses),
-                                "rel_errors": list(repm.rel_errors)}
-        rows += [["jump-mass", lv.eps, v] for lv, v in zip(scales, repm.masses)]
-        # cubic average on the jump line; expected value from the cap area at the
-        # distance of the nearest cell row
-        eps_b = _JUMP_CUBIC_CELLS * grid.spacing
-        pm = cubic_difference_average(m, eps_b)
-        jrow = int(np.argmin(np.abs(grid.ys() - spec.point[1])))
-        d = abs(float(grid.ys()[jrow]) - spec.point[1])
-        w = d / eps_b
-        cap = float(np.arccos(w) - w * np.sqrt(1 - w * w))
-        line_mask = pm.effective_mask()[jrow]
-        jval = float(np.max(pm.values[jrow][line_mask]))
-        jump_j = float(np.linalg.norm(mp - mm))
-        ratio = jval * eps_b / (cap * jump_j**3)
-        details["line_ratio"] = ratio
-        box = 2 * eps_b
-        inner = grid.rect_mask(-box, box, spec.point[1] - box, spec.point[1] + box)
-        outer = grid.rect_mask(-box - eps_b, box + eps_b, spec.point[1] - box - eps_b,
-                               spec.point[1] + box + eps_b)
-        hs = [grid.spacing * c for c in cfg.h_ladder_cells]
-        ratios = [b.ratio for b in cubic_average_besov_bound(
-            m, (1.0, 7.0 / 6.0, 4.0 / 3.0), inner, outer, hs, pm=pm)]
-        details["bounded_sequence_ratios"] = ratios
-        gates += [("jump_mass_rel", repm.rel_errors[-1], "<=", cfg.tol("jump_mass_rel")),
-                  ("line_ratio_lo", ratio, ">=", cfg.tol("line_ratio_lo")),
-                  ("line_ratio_hi", ratio, "<=", cfg.tol("line_ratio_hi"))]
-        gates += [("bounded_sequence", r, "<=", 1.0) for r in ratios]
+    gates = kind.produce_gates(cfg, scales, prods, details, rows)
     art = {"production.csv": csv_text(["label", "eps", "value"], rows).encode()} if rows else {}
-    if cfg.dump_fields and kind != "constant":
+    if cfg.dump_fields and rows:  # the kinds that write rows produce a field worth dumping
         buf = io.BytesIO()
-        write_field(buf, m.grid, prods[-1].values)
+        write_field(buf, fine.m.grid, prods[-1].values)
         art["production_finest.eelf"] = buf.getvalue()
     return CheckResult(details, gates, art)
 
 
 def check_besov(cfg: ExperimentConfig, ladder: list[Level],
                 rng: np.random.Generator) -> CheckResult:
-    kind = cfg.field.kind
+    kind = _KINDS[cfg.field.kind]
     m = ladder[-1].m
     grid = m.grid
-    region = _region(cfg, grid) if kind != "jump" else grid.rect_mask(
-        -0.375 * cfg.extent, 0.375 * cfg.extent, -0.375 * cfg.extent, 0.375 * cfg.extent
-    )
+    region = kind.besov_region(cfg, grid) if kind.besov_region else _region(cfg, grid)
     hs = [grid.spacing * c for c in cfg.h_ladder_cells]
     details: dict = {}
     rows = []
@@ -388,12 +426,7 @@ def check_besov(cfg: ExperimentConfig, ladder: list[Level],
     for q, rep in zip(cfg.qs, besov_seminorm(m, cfg.s, cfg.qs, hs, region)):
         details[f"q={q:g}"] = asdict(rep)
         rows += [[q, h, v, c] for h, v, c in zip(rep.hs, rep.per_h, rep.cumulative)]
-        if kind == "jump":
-            gates.append(("slope_tol", abs(rep.slope - 1.0 / q), "<=", cfg.tol("slope_tol")))
-        elif kind == "constant":
-            gates.append(("seminorm", rep.seminorm, "<=", 1e-12))
-        elif rep.seminorm != 0.0:  # a vanishing seminorm has no slope to gate
-            gates.append(("smooth_slope", rep.slope, ">=", cfg.tol("smooth_slope")))
+        gates += kind.besov_gates(cfg, q, rep)
     art = {"besov.csv": csv_text(["q", "h", "sup_norm", "cumulative"], rows).encode()}
     return CheckResult(details, gates, art)
 
@@ -403,8 +436,9 @@ def check_kinetic(cfg: ExperimentConfig, ladder: list[Level],
     details: dict = {}
     rows = []
     worst_by_level = []
-    sigma = JumpLineMeasure(cfg.field) if cfg.field.kind == "jump" else None
-    zetas = _kinetic_test_functions(cfg)
+    kind = _KINDS[cfg.field.kind]
+    sigma = JumpLineMeasure(cfg.field) if kind.jump_set else None
+    zetas = kind.test_functions(cfg)
     for li, lv in enumerate(ladder):  # one set of test functions, paired with every level
         residuals = kinetic_residual(lv.m, sigma, zetas)
         worst_by_level.append(max(abs(r) for r in residuals))
@@ -453,9 +487,7 @@ def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
     gates = [("interaction_agreement", agreement, "<=", cfg.tol("interaction_agreement")),
              ("coercivity_constant", c_alpha, ">", 0.0)]
 
-    kind = cfg.field.kind
     m = ladder[-1].m
-
     margin = 0.1 * cfg.extent
     grid = m.grid
     lo = grid.origin[0] + margin
@@ -471,8 +503,7 @@ def check_interaction(cfg: ExperimentConfig, ladder: list[Level],
         gates += [("scan_min_ratio", scan.gated_min_ratio, ">=", 0.5 * c_dm),
                   ("scan_closed_form_gap", scan.closed_form_gap, "<=", 1e-10)]
 
-    if kind == "vortex":
-        gamma = RadialBump(center=cfg.field.center, r0=0.27 * cfg.extent, width=0.115 * cfg.extent)
+    if (gamma := _KINDS[cfg.field.kind].identity_bump(cfg)) is not None:
         h = 0.1 * cfg.extent
         rels = []
         for n in (48, 96):  # own coarse pair; the inner quadratures dominate cost
@@ -501,7 +532,7 @@ def check_factorize(cfg: ExperimentConfig, ladder: list[Level],
     details["negative_control"] = not all(r >= cfg.tol("decay_rate") for r in rep.rates)
     for (lbl, _), row in zip(fs, rep.masses):
         rows += [[lbl, e, v] for e, v in zip(eps_ladder, row)]
-    if cfg.field.kind == "jump":
+    if _KINDS[cfg.field.kind].jump_set:
         gates = [("negative_control", details["negative_control"], "==", True)]
         details["expected"] = "persistent production mass (negative control)"
     else:
@@ -566,8 +597,8 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Execute the configured checks, in ``ALL_CHECKS`` order on the calling thread,
     on one read-only ladder and write all artifacts; returns (bundle, exit code).
     ConfigError if the field cannot be sampled on it or a kinetic test function leaves its domain."""
-    outdir = Path(cfg.out)
-    if cut := "kinetic" in cfg.checks and edge_test_functions(cfg.grid(), _kinetic_test_functions(cfg)):
+    outdir, kind = Path(cfg.out), _KINDS[cfg.field.kind]
+    if cut := "kinetic" in cfg.checks and edge_test_functions(cfg.grid(), kind.test_functions(cfg)):
         raise ConfigError([f"the kinetic test function {label!r} reaches past the domain "
                            f"[-{cfg.extent / 2:g}, {cfg.extent / 2:g}]^2: its edge would cut the support off"
                            for label in cut])
@@ -577,7 +608,7 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
         raise ConfigError([f"config field: {exc}"]) from None
 
     def one(name: str) -> tuple[dict, dict[str, bytes]]:
-        if name == "interaction" and cfg.field.kind == "jump":  # the identity needs a rigid field
+        if name == "interaction" and kind.jump_set:
             return {"status": "SKIP", "details": {"reason": f"not applicable to {cfg.field.kind} fields"}}, {}
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ALL_CHECKS.index(name),)))
         try:

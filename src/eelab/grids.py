@@ -114,13 +114,8 @@ class AngleField:
         )
 
     def theta_at(self, x: FloatArray, y: FloatArray) -> FloatArray:
-        """Angle at arbitrary points: analytic when available, else nearest cell."""
-        if self.theta_fn is not None:
-            return np.mod(self.theta_fn(np.asarray(x, float), np.asarray(y, float)), TWO_PI)
-        g = self.grid
-        i = np.clip(np.round((np.asarray(x) - g.origin[0]) / g.spacing - 0.5).astype(int), 0, g.nx - 1)
-        j = np.clip(np.round((np.asarray(y) - g.origin[1]) / g.spacing - 0.5).astype(int), 0, g.ny - 1)
-        return self.theta[j, i]
+        """The analytic angle ``theta_fn`` at arbitrary points (a field ``build_field`` sampled)."""
+        return np.mod(self.theta_fn(np.asarray(x, float), np.asarray(y, float)), TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -180,6 +175,14 @@ class ConstantSpec:
     theta0: float = key(0.0)
     kind: str = "constant"
 
+    def angle(self, x: FloatArray, y: FloatArray) -> FloatArray:
+        """The exact angle at the points (x, y)."""
+        return np.full_like(np.asarray(x, float), self.theta0)
+
+    def unsampleable(self, grid: Grid2) -> str | None:
+        """Why the field cannot be sampled on ``grid``; None when it can."""
+        return None
+
 
 @dataclass(frozen=True)
 class VortexSpec:
@@ -188,6 +191,15 @@ class VortexSpec:
     center: tuple[float, float] = key((0.0, 0.0))
     orientation: int = key(1, within=("be 1 or -1", lambda v: v in (1, -1)))
     kind: str = "vortex"
+
+    def angle(self, x: FloatArray, y: FloatArray) -> FloatArray:
+        cx, cy = self.center
+        return np.arctan2(y - cy, x - cx) + self.orientation * np.pi / 2
+
+    def unsampleable(self, grid: Grid2) -> str | None:
+        x, y = grid.meshgrid()
+        near = float(np.hypot(x - self.center[0], y - self.center[1]).min()) < 0.1 * grid.spacing
+        return "vortex center too close to a cell center; offset it" if near else None
 
 
 @dataclass(frozen=True)
@@ -211,61 +223,31 @@ class JumpSpec:
             raise ValueError("jump normal must be nonzero")
         return n / norm
 
-    def trace_residual(self) -> float:
-        n = self.unit_normal()
-        dm = np.array(
-            [
-                np.cos(self.theta_plus) - np.cos(self.theta_minus),
-                np.sin(self.theta_plus) - np.sin(self.theta_minus),
-            ]
-        )
-        return float(abs(n @ dm))
-
     def traces(self) -> tuple[FloatArray, FloatArray]:
         mp = np.array([np.cos(self.theta_plus), np.sin(self.theta_plus)])
         mm = np.array([np.cos(self.theta_minus), np.sin(self.theta_minus)])
         return mp, mm
 
+    def angle(self, x: FloatArray, y: FloatArray) -> FloatArray:
+        n, (px, py) = self.unit_normal(), self.point
+        s = (np.asarray(x, float) - px) * n[0] + (np.asarray(y, float) - py) * n[1]
+        return np.where(s >= 0.0, self.theta_plus, self.theta_minus)
+
+    def unsampleable(self, grid: Grid2) -> str | None:
+        mp, mm = self.traces()
+        res = float(abs(self.unit_normal() @ (mp - mm)))  # the traces' matching condition
+        return ("jump traces violate the divergence-free matching condition: normal.(m+ - m-) = "
+                f"{res:.3e} > 1e-12") if res > 1e-12 else None
+
 
 FieldSpec = ConstantSpec | VortexSpec | JumpSpec
 
 
-def _vortex_theta(cx: float, cy: float, orientation: int):
-    def fn(x: FloatArray, y: FloatArray) -> FloatArray:
-        return np.arctan2(y - cy, x - cx) + orientation * np.pi / 2
-
-    return fn
-
-
 def build_field(spec: FieldSpec, grid: Grid2) -> AngleField:
     """Sample the exact analytic field of the given spec at cell centers."""
-    x, y = grid.meshgrid()
-    if isinstance(spec, ConstantSpec):
-        fn = lambda a, b: np.full_like(np.asarray(a, float), spec.theta0)  # noqa: E731
-        return AngleField(grid, fn(x, y), theta_fn=fn)
-    if isinstance(spec, VortexSpec):
-        cx, cy = spec.center
-        d = np.hypot(x - cx, y - cy)
-        if float(d.min()) < 0.1 * grid.spacing:
-            raise ValueError("vortex center too close to a cell center; offset it")
-        fn = _vortex_theta(cx, cy, spec.orientation)
-        return AngleField(grid, fn(x, y), theta_fn=fn)
-    if isinstance(spec, JumpSpec):
-        res = spec.trace_residual()
-        if res > 1e-12:
-            raise ValueError(
-                f"jump traces violate the divergence-free matching condition: "
-                f"normal.(m+ - m-) = {res:.3e} > 1e-12"
-            )
-        n = spec.unit_normal()
-        px, py = spec.point
-
-        def fn(a: FloatArray, b: FloatArray) -> FloatArray:
-            s = (np.asarray(a, float) - px) * n[0] + (np.asarray(b, float) - py) * n[1]
-            return np.where(s >= 0.0, spec.theta_plus, spec.theta_minus)
-
-        return AngleField(grid, fn(x, y), theta_fn=fn)
-    raise TypeError(f"unknown field spec {spec!r}")
+    if why := spec.unsampleable(grid):
+        raise ValueError(why)
+    return AngleField(grid, spec.angle(*grid.meshgrid()), theta_fn=spec.angle)
 
 
 _SPECS = {cls.kind: cls for cls in (ConstantSpec, VortexSpec, JumpSpec)}

@@ -17,14 +17,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eelab import cli, production
+from eelab import cli, grids, production
 from eelab.cli import ConfigError, _load_config, config_from_json, main, run_config
 from eelab.bumps import RadialBump
 from eelab.grids import ConstantSpec, JumpSpec, VortexSpec, build_field, centered_grid, mollify, read_field
 from eelab.kinetic import edge_test_functions
 from eelab.regularity import InteractionWeight, interaction_identity_check
 from eelab.reporting import json_dumps
-from eelab.schema import declared
+from eelab.schema import declared, render
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -116,6 +116,25 @@ def test_dump_field_subcommand(tmp_path, capsys):
     assert np.allclose(payloads[0], 0.3)
 
 
+def test_dump_fields_writes_the_finest_production(tmp_path):
+    # dump_fields adds the finest Jin-Kohn production of produce as one EELF
+    # payload, listed in the manifest; the constant field, with no production, has none
+    runs = {"jump": ({"kind": "jump"}, 96), "constant": ({"kind": "constant", "theta0": 0.3}, 64)}
+    bundles = {}
+    for kind, (fld, n) in runs.items():
+        obj = dict(BASE, field=fld, grid={"n": n, "extent": 2.0}, checks=["produce"], dump_fields=True,
+                   out=str(tmp_path / kind))
+        bundles[kind], _ = run_config(config_from_json(obj))
+    data = (tmp_path / "jump" / "produce" / "production_finest.eelf").read_bytes()
+    assert bundles["jump"]["manifest"]["produce/production_finest.eelf"] == hashlib.sha256(data).hexdigest()
+    with open(tmp_path / "jump" / "produce" / "production_finest.eelf", "rb") as fh:
+        grid, payloads = read_field(fh)
+    assert grid == centered_grid(96, 2.0)
+    assert [p.shape for p in payloads] == [(96, 96)]
+    assert not (tmp_path / "constant" / "produce" / "production_finest.eelf").exists()
+    assert not any(rel.endswith(".eelf") for rel in bundles["constant"]["manifest"])
+
+
 def test_run_constant_all_pass(tmp_path):
     cfg = config_from_json(BASE)
     cfg.out = str(tmp_path / "out")
@@ -142,6 +161,42 @@ def test_run_jump_skips_interaction(tmp_path):
     bundle, code = run_config(cfg)
     assert code == 0
     assert bundle["checks"]["interaction"]["status"] == "SKIP"
+
+
+def test_interaction_hands_the_vortex_identity_its_grids_and_bump(tmp_path, monkeypatch):
+    # the stubbed identity records what check_interaction hands it: constant never
+    # calls it; the shipped vortex, centered or moved by whole cells, calls it on its
+    # own 48- and 96-cell grids with the collar around its center and h = 0.1 extent;
+    # jump skips the check
+    calls = []
+
+    def identity(m, gamma, weight, h):
+        calls.append((m, gamma, weight, h))
+        return SimpleNamespace(rel_residual=0.0)
+
+    monkeypatch.setattr(cli, "interaction_identity_check", identity)
+
+    def interaction(obj, out):
+        bundle, _ = run_config(config_from_json(dict(obj, checks=["interaction"], out=str(tmp_path / out))))
+        return bundle["checks"]["interaction"]
+
+    assert interaction(BASE, "constant")["status"] == "PASS"
+    assert calls == []
+    shipped = json.loads((ROOT / "configs" / "vortex.json").read_text())
+    for center in ([0.0, 0.0], [0.125, -0.125]):
+        calls.clear()
+        obj = dict(shipped, field={"kind": "vortex", "center": center})
+        assert interaction(obj, str(center))["status"] == "PASS"
+        cfg = config_from_json(obj)
+        assert [(m.grid, gamma, weight.alpha, h) for m, gamma, weight, h in calls] == [
+            (centered_grid(n, 2.0), RadialBump(center=tuple(center), r0=0.54, width=0.23),
+             cfg.effective_alpha(), 0.2) for n in (48, 96)]
+        for m, *_ in calls:
+            assert np.array_equal(m.theta, build_field(cfg.field, m.grid).theta)
+    calls.clear()
+    record = interaction(dict(BASE, field={"kind": "jump"}, grid={"n": 96, "extent": 2.0}), "jump")
+    assert record == {"status": "SKIP", "details": {"reason": "not applicable to jump fields"}}
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind, n", [("constant", 64), ("jump", 96), ("vortex", 64)])
@@ -457,8 +512,10 @@ def _reached(monkeypatch, tmp_path, methods: set[tuple[str, str, str]],
     """Which of ``methods`` (module, class, method) run and which of ``fields``
     (module, class, field) are read under ``_REACHING_RUNS``; each is recorded on
     the class that declares it, so a call or a read through another class with a
-    member of the same name does not count."""
+    member of the same name does not count.  Rendering a config reads every field
+    through ``asdict``, but counts as a read only of the keys it writes."""
     reached = set()
+    rendering = []
 
     def recording(key, fn):
         def wrapped(*args, **kwargs):
@@ -468,10 +525,19 @@ def _reached(monkeypatch, tmp_path, methods: set[tuple[str, str, str]],
 
     def reading(prefix, names, get):
         def getattribute(self, name):
-            if name in names:
+            if name in names and not (rendering and rendering[-1] is self):
                 reached.add(f"{prefix}.{name}")
             return get(self, name)
         return getattribute
+
+    def rendering_what_it_writes(cfg):
+        rendering.append(cfg)
+        try:
+            return render(cfg)
+        finally:
+            rendering.pop()
+            reached.update(f"cli.ExperimentConfig.{f.name}" for f in declared(cli.ExperimentConfig).values()
+                           if f.metadata["render"])
 
     for mod, clsname, name in methods:
         cls = getattr(importlib.import_module(f"eelab.{mod}"), clsname)
@@ -480,6 +546,7 @@ def _reached(monkeypatch, tmp_path, methods: set[tuple[str, str, str]],
         cls = getattr(importlib.import_module(f"eelab.{mod}"), clsname)
         names = {name for m, c, name in fields if (m, c) == (mod, clsname)}
         monkeypatch.setattr(cls, "__getattribute__", reading(f"{mod}.{clsname}", names, cls.__getattribute__))
+    monkeypatch.setattr(cli.ExperimentConfig, "to_json", rendering_what_it_writes)
     for i, (fld, checks, n) in enumerate(_REACHING_RUNS):
         obj = dict(BASE, field=fld, checks=checks, grid={"n": n, "extent": 2.0}, out=str(tmp_path / str(i)))
         bundle, _ = run_config(config_from_json(obj))
@@ -505,8 +572,9 @@ def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
     (its ``METHODS``).  Every field of a ``src/`` dataclass is read: a field
     whose name no other dataclass declares may be read as an attribute anywhere
     in ``src/``; any other field, and one that no attribute read names, must be
-    read on its own class under ``_REACHING_RUNS`` (``asdict`` and ``render``
-    read every field of what they serialize).  ``__init__`` imports nothing."""
+    read on its own class under ``_REACHING_RUNS`` (``asdict`` reads every field
+    of what it serializes; ``render`` reads only the keys it writes).  Exempt is
+    ``ExperimentConfig.jobs``, which nothing reads.  ``__init__`` imports nothing."""
     def names(tree):
         return Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
 
@@ -519,7 +587,10 @@ def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
     attr_refs = sum((attrs(t) for t in trees.values()), Counter())
     exempt = {("cli", "main"), ("grids", "read_field"), ("grids", "write_field"),
               # perfbench/tracer.py METHODS: looked up as cls.__dict__["jacobian"]
-              ("entropy", "ExtendedEntropy.jacobian")}
+              ("entropy", "ExtendedEntropy.jacobian"),
+              # validated and kept so that --jobs command lines keep working; whether it
+              # goes or schedules work again is the benchmark owner's call (ROADMAP item 11)
+              ("cli", "ExperimentConfig.jobs")}
     unused = [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
               and (mod, node.name) not in exempt and refs[node.name] == names(node)[node.name]]
@@ -538,7 +609,8 @@ def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
     fields = [(mod, cls.name, node.target.id) for mod, tree in trees.items() for cls in tree.body
               if isinstance(cls, ast.ClassDef)
               and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
-              for node in cls.body if isinstance(node, ast.AnnAssign)]
+              for node in cls.body if isinstance(node, ast.AnnAssign)
+              and (mod, f"{cls.name}.{node.target.id}") not in exempt]
     declarers = Counter(name for _, _, name in fields)
     read_at_run = {f for f in fields if declarers[f[2]] > 1 or not reads[f[2]]}
     init = ast.parse((ROOT / "src" / "eelab" / "__init__.py").read_text(encoding="utf-8"))
@@ -548,6 +620,35 @@ def test_library_holds_only_what_it_runs(monkeypatch, tmp_path, capsys):
     reached = _reached(monkeypatch, tmp_path, by_class, read_at_run)
     capsys.readouterr()
     assert sorted({".".join(key) for key in by_class | read_at_run} - reached) == []
+
+
+def test_field_kind_is_decided_in_one_place():
+    """A field kind is decided by its ``grids`` spec class and its ``cli._KINDS`` record
+    alone: in ``src/eelab`` no comparison has a field-kind string or a ``.kind`` attribute
+    as an operand, no dict but ``_KINDS`` is keyed by one, no ``isinstance`` call names a
+    spec class, and the record and the specs know the same kinds."""
+    kinds, specs = set(grids._SPECS), {cls.__name__ for cls in grids._SPECS.values()}
+
+    def names_a_kind(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in kinds
+                or isinstance(node, ast.Attribute) and node.attr == "kind")
+
+    found = []
+    for path in sorted((ROOT / "src" / "eelab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        record = [n.value for n in tree.body if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "_KINDS"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                dispatch = any(map(names_a_kind, [node.left, *node.comparators]))
+            elif isinstance(node, ast.Dict):
+                dispatch = node not in record and any(map(names_a_kind, filter(None, node.keys)))
+            else:
+                dispatch = (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                            and any(isinstance(n, ast.Name) and n.id in specs for n in ast.walk(node.args[1])))
+            if dispatch:
+                found.append(f"{path.stem}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+    assert cli._KINDS.keys() == grids._SPECS.keys()
 
 
 #: what a report field or a parameter of a library function would be called if it
@@ -687,7 +788,7 @@ def test_no_constant_seed_cuts_a_kinetic_test_function(tmp_path):
     cfg = config_from_json(json.loads((ROOT / "configs" / "constant.json").read_text()))
     for seed in range(1000):
         cfg.seed = seed
-        assert edge_test_functions(cfg.grid(), cli._kinetic_test_functions(cfg)) == []
+        assert edge_test_functions(cfg.grid(), cli._KINDS[cfg.field.kind].test_functions(cfg)) == []
     # seed 299 draws a bump that reaches the 64-cell grid's outermost cell ring
     out = tmp_path / "out"
     assert main(["run", "--config", str(ROOT / "configs" / "constant.json"), "--out", str(out),

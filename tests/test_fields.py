@@ -96,7 +96,7 @@ def test_unit_modulus_exact():
 
 def test_jump_trace_condition_enforced():
     good = JumpSpec(normal=(0, 1), theta_plus=np.pi / 4, theta_minus=3 * np.pi / 4)
-    assert good.trace_residual() < 1e-12
+    assert good.unsampleable(centered_grid(16, 2.0)) is None
     bad = JumpSpec(normal=(0, 1), theta_plus=np.pi / 4, theta_minus=np.pi / 3)
     with pytest.raises(ValueError, match="matching condition"):
         build_field(bad, centered_grid(16, 2.0))
