@@ -11,16 +11,24 @@ place, from its k > 0 half).  Every evaluation -- ``f(t)``, ``real_values``,
 :func:`evaluate_all`, and through ``_block_values`` the arc integrals of
 ``kinetic`` and the radial extensions of ``entropy`` -- runs the one loop
 ``_block_values``: the angles are flattened and cut into blocks of ``_ROWS``
-rows, each band's basis is built once per block, contracted with every
-function of that band by the same ``tensordot``, and each block's values go
-straight into preallocated outputs.  No call holds more than one block's
-basis per angle array, nor a complex value array it does not return.
+rows, each band's basis is built once per block over the block's distinct
+angles only, contracted with every function of that band by the same
+``tensordot``, gathered back to the block's rows, and each block's values go
+straight into preallocated outputs.  On a piecewise constant field almost
+every angle repeats, so a block's basis has a few rows, not one per cell.
+No call holds more than one block's basis per angle array, nor a complex
+value array it does not return.
 
 The blocks give the bits of one contraction over all rows, with one rule.
 numpy contracts a one-row basis through another BLAS routine than a basis of
 several rows, and that moves values by up to a few ulps; so a one-row tail
-joins the block before it, and only an input of exactly one element (0-d
-included) is contracted as one row, as it always was.  Each function meets a
+joins the block before it, a block of two or more rows whose angles are all
+equal is contracted as two equal rows, and only an input of exactly one
+element (0-d included) is contracted as one row, as it always was.  Each row
+of a basis of several rows contracts to the same bits wherever it stands, so
+the distinct angles may come sorted.  Equal angles have equal bits but for
+the sign of a zero, and ``fourier_basis`` adds +0.0 before ``exp``, so -0.0
+and +0.0 share a row; NaNs are never merged.  Each function meets a
 basis of exactly its own band.  Contracting it with a wider basis, its
 coefficients padded with zeros, sums over a longer row and rounds
 differently.  A column slice of a wider basis would hold the same entries,
@@ -264,20 +272,36 @@ def _row_blocks(size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [size])]
 
 
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct angles of one row block, by the rules of ``_block_values``, and the
+    index that gathers them back to its rows."""
+    u, inv = np.unique(x, return_inverse=True, equal_nan=False)
+    if u.size == 1 < x.size:
+        u = np.repeat(u, 2)
+    return u, inv
+
+
 def _block_values(fs: Sequence[CircleFunction], *ts: np.ndarray):
     """The one evaluation loop: yield ``(rows, i, values)`` for each row block of the
     flattened angle arrays ``ts`` (all of one size) and each ``fs[i]``, where
     ``values[j]`` is ``fs[i]`` on ``ts[j].ravel()[rows]``.  Each band's basis is
-    built once per block and angle array, widest band first, and released before
-    the next band's."""
+    built once per block and angle array, over the block's distinct angles only
+    (``_distinct``), widest band first, and released before the next band's; each
+    contraction is gathered back to the block's rows.  Equal angles have equal
+    bits but for the sign of a zero, which the basis drops, and NaNs stay apart,
+    so the gathered values are those of the basis over every row.  A block of two
+    or more rows whose angles are all equal is contracted as two equal rows: only
+    an input of one element is contracted as one row."""
     flat = [np.ravel(t) for t in ts]
     bands = sorted({f.band for f in fs}, reverse=True)
     for rows in _row_blocks(flat[0].size):
+        distinct = [_distinct(x[rows]) for x in flat]
         for band in bands:
-            bases = [fourier_basis(x[rows], band) for x in flat]
+            bases = [fourier_basis(u, band) for u, _ in distinct]
             for i, f in enumerate(fs):
                 if f.band == band:
-                    yield rows, i, [np.tensordot(b, f.coeffs, axes=([-1], [0])) for b in bases]
+                    yield rows, i, [np.tensordot(b, f.coeffs, axes=([-1], [0]))[inv]
+                                    for b, (_, inv) in zip(bases, distinct)]
             del bases
 
 
@@ -286,8 +310,9 @@ def evaluate_all(fs: Sequence[CircleFunction], t) -> list[np.ndarray | complex]:
 
     The functions are grouped by their own (trimmed) band.  For each block of
     ``_ROWS`` rows of the flattened ``t`` (a one-row tail joins the block before
-    it), each band's basis is built, contracted with every function of that
-    band, written into that function's output and released, so at most one
+    it), each band's basis is built over the block's distinct angles,
+    contracted with every function of that band, gathered back to the block's
+    rows, written into that function's output and released, so at most one
     block basis is alive at a time besides the outputs.  A 0-d ``t`` gives
     Python complex values.
     """

@@ -51,9 +51,14 @@ class EntropyMap:
         return self.comp1 + self.comp2 * 1j
 
     def values(self, t) -> FloatArray:
-        """Sample Phi(e^{it}) as an (..., 2) real array."""
+        """Sample Phi(e^{it}) as an (..., 2) real array, both components in one pass of
+        the row blocks of :mod:`~eelab.circle`."""
         t = np.asarray(t, dtype=float)
-        return np.stack([self.comp1.real_values(t), self.comp2.real_values(t)], axis=-1)
+        out = np.empty(t.shape + (2,))
+        flat = out.reshape(-1, 2)
+        for rows, i, (vals,) in _block_values([self.comp1, self.comp2], t):
+            flat[rows, i] = vals.real
+        return out
 
     def c2_norm(self) -> float:
         """max over 4096 circle samples of |Phi|, |Phi'|, |Phi''| (Euclidean norm)."""

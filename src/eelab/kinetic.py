@@ -132,9 +132,14 @@ class KineticMeasure:
 
 
 def atom_mean(f: CircleFunction, theta) -> FloatArray:
-    """(f(theta + pi/2) + f(theta - pi/2))/2: f averaged over a cell's two atoms."""
+    """(f(theta + pi/2) + f(theta - pi/2))/2: f averaged over a cell's two atoms, both
+    evaluated in one pass of the row blocks of :mod:`~eelab.circle`."""
     theta = np.asarray(theta, dtype=float)
-    return 0.5 * (f.real_values(theta + np.pi / 2) + f.real_values(theta - np.pi / 2))
+    out = np.empty(theta.shape)
+    flat = out.reshape(-1)
+    for rows, _, (a, b) in _block_values([f], theta + np.pi / 2, theta - np.pi / 2):
+        flat[rows] = 0.5 * (a.real + b.real)
+    return out
 
 
 def rotated_production(theta: FloatArray, div_sigma: tuple[ScalarField, ScalarField]) -> FloatArray:

@@ -7,6 +7,7 @@ import pytest
 
 from decomposition_oracle import harmonic_extension
 from test_circle import shift
+from eelab import circle, kinetic
 from eelab.circle import CircleFunction
 from eelab.entropy import harmonic_entropy, multiplier
 from eelab.factorization import (
@@ -241,18 +242,19 @@ def test_pairing_consistency_exact():
 
 
 def test_pairing_consistency_evaluates_the_atoms_once(monkeypatch):
-    # both sides share f at theta +- pi/2: two grid evaluations plus the
-    # lattice mean, not four plus the mean
+    # both sides share f at theta +- pi/2: two grid angle arrays plus the
+    # lattice mean, not four plus the mean; counted at the one evaluation loop
     g = centered_grid(32, 2.0)
     sig = factorized_measure(mollified_level(build_field(JumpSpec(), g), 0.25))
     sizes = []
-    real_values = CircleFunction.real_values
+    block_values = circle._block_values
 
-    def counting(self, t):
-        sizes.append(np.size(t))
-        return real_values(self, t)
+    def counting(fs, *ts):
+        sizes.extend(np.size(t) for t in ts)
+        yield from block_values(fs, *ts)
 
-    monkeypatch.setattr(CircleFunction, "real_values", counting)
+    for module in (circle, kinetic):
+        monkeypatch.setattr(module, "_block_values", counting)
     pairing_consistency_gap(sig, CircleFunction.cosine(2), ScalarField(g, np.ones((32, 32))))
     assert sorted(sizes) == [256, 32 * 32, 32 * 32]
 
